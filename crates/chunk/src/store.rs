@@ -425,6 +425,18 @@ impl ChunkStore {
                     last_valid_end
                 };
                 if new_ptr > sb_ptr {
+                    // Everything past the persisted pointer is residue of
+                    // appends that were never acknowledged. Once the
+                    // extended pointer reaches the superblock, a later
+                    // recovery trusts that residue — and a dead LSM
+                    // metadata record among it would win the sequence
+                    // race, rolling the index forward to state this
+                    // recovery discarded. Metadata residue is wiped
+                    // durably first (data residue is unreachable without
+                    // a metadata record naming it).
+                    if owner == Owner::Metadata && !store.wipe_residue(extent, sb_ptr, new_ptr)? {
+                        continue;
+                    }
                     store.core.em.extend_pointer_for_recovery(extent, new_ptr);
                     coverage::hit("chunk.recover.pointer_extended");
                 } else if new_ptr < sb_ptr {
@@ -434,6 +446,37 @@ impl ChunkStore {
             }
         }
         Ok(store)
+    }
+
+    /// Durably zeroes `[from, to)` of `extent` during recovery, with the
+    /// bounded retry of transient failures. Returns false (after
+    /// quarantining the extent) when the extent is permanently dead.
+    fn wipe_residue(&self, extent: ExtentId, from: usize, to: usize) -> Result<bool, ChunkError> {
+        let disk = self.core.em.scheduler().disk().clone();
+        let zeros = vec![0u8; to - from];
+        let with_retry = |op: &dyn Fn() -> Result<(), IoError>| {
+            let mut result = op();
+            let mut attempts = 0u32;
+            while matches!(result, Err(IoError::Injected { .. })) && attempts < 3 {
+                attempts += 1;
+                result = op();
+            }
+            result
+        };
+        match with_retry(&|| disk.write(extent, from, &zeros))
+            .and_then(|()| with_retry(&|| disk.flush_extent(extent)))
+        {
+            Ok(()) => {
+                coverage::hit("chunk.recover.residue_wiped");
+                Ok(true)
+            }
+            Err(IoError::Failed { .. }) => {
+                self.core.em.quarantine(extent);
+                coverage::hit("chunk.recover.quarantined");
+                Ok(false)
+            }
+            Err(e) => Err(ChunkError::Extent(ExtentError::Io(e))),
+        }
     }
 
     /// The underlying extent manager.

@@ -71,6 +71,18 @@ impl StoreError {
             StoreError::Backend(_) => false,
         }
     }
+
+    /// True for genuine disk-space exhaustion (no extent can hold the
+    /// chunk), whether the data path or an index flush ran out. The
+    /// validation harness skips such operations rather than flagging
+    /// them (§4.4: there is no oracle for resource exhaustion).
+    pub fn is_no_space(&self) -> bool {
+        matches!(
+            self,
+            StoreError::Chunk(ChunkError::NoSpace { .. })
+                | StoreError::Lsm(LsmError::Chunk(ChunkError::NoSpace { .. }))
+        )
+    }
 }
 
 impl std::error::Error for StoreError {}
@@ -941,5 +953,20 @@ impl Store {
         let sched = self.scheduler();
         sched.crash(plan);
         Store::recover(sched, self.config.clone(), self.faults.clone())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn no_space_is_recognised_on_both_paths() {
+        let chunk = ChunkError::NoSpace { requested: 64 };
+        assert!(StoreError::Chunk(chunk.clone()).is_no_space());
+        assert!(StoreError::Lsm(LsmError::Chunk(chunk)).is_no_space());
+        assert!(!StoreError::OutOfService.is_no_space());
+        assert!(!StoreError::Lsm(LsmError::CorruptMetadata).is_no_space());
+        assert!(!StoreError::Extent(ExtentError::NoFreeExtent).is_no_space());
     }
 }

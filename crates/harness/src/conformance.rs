@@ -1,24 +1,28 @@
 //! Sequential crash-free conformance checking (§4 of the paper), with the
-//! §4.4 failure-injection relaxation.
+//! §4.4 failure-injection relaxation — and the one interpreter of the
+//! [`KvOp`] alphabet that every store-level runner shares.
 //!
-//! The runner applies each operation in a sequence to both the
-//! implementation (a full [`Store`] over the in-memory disk) and the
-//! reference model ([`KvModel`]), compares the results (the paper's
-//! `compare_results!`), and after each operation checks the invariant that
-//! both hold the same key-value mapping.
+//! [`RunCtx::step`] applies an operation to both the implementation (a
+//! full [`Store`]) and the reference model ([`CrashAwareKvModel`]) and
+//! compares the results (the paper's `compare_results!`). The crash
+//! checker (§5) and the fault sweep *extend* this interpreter rather than
+//! copy it: each world picks an oracle [`Policy`], which decides only how
+//! far the comparison relaxes once a failure has fired and which extra
+//! bookkeeping the world's own checks need.
 //!
 //! Once an injected failure has fired, the strict equivalence is relaxed
 //! by the "has failed" flag: an operation may fail or lose data relative
 //! to the model, but may **never return wrong data** — any bytes returned
 //! must be some value that was actually written to that key (§4.4).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
 use shardstore_core::{Store, StoreConfig, StoreError, ValueBuf};
+use shardstore_dependency::Dependency;
 use shardstore_faults::FaultConfig;
-use shardstore_model::KvModel;
+use shardstore_model::CrashAwareKvModel;
 use shardstore_vdisk::{CrashPlan, Geometry};
 
 use crate::ops::KvOp;
@@ -41,6 +45,17 @@ pub struct Divergence {
 }
 
 impl Divergence {
+    /// A divergence at operation `op_index`, with no timeline attached.
+    pub fn new(op_index: usize, op: &impl fmt::Debug, detail: impl Into<String>) -> Self {
+        Self {
+            op_index,
+            op: format!("{op:?}"),
+            detail: detail.into(),
+            timeline: String::new(),
+            dropped_events: 0,
+        }
+    }
+
     /// Attaches the tail of the store's trace log, rendered per-op, plus
     /// the causal timeline of the most recent request, so a minimized
     /// counterexample carries the events that led up to it.
@@ -127,9 +142,40 @@ pub struct RunReport {
     pub has_failed: bool,
 }
 
-/// Shared per-run state used by both the conformance and crash runners.
+/// How far a world's oracle relaxes once a failure has fired. The world
+/// picks the policy; the operation semantics are the same for all three.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Policy {
+    /// §4 conformance with the §4.4 relaxation: only *uncertain* keys
+    /// (touched by a failed operation) may be lost or stale.
+    Strict,
+    /// §5 crash consistency: between crashes the run must match the
+    /// model exactly; once a failure fired, any key may be lost or stale
+    /// (never corrupt), and persistence is judged at each crash.
+    Crash,
+    /// The fault sweep: like `Strict`, but a key whose latest write was
+    /// never acknowledged durable may also vanish — only acknowledged
+    /// state carries a durability promise.
+    AckPrecise,
+}
+
+/// One mutation whose dependency the fault sweep watches for its
+/// acknowledged-durability properties.
+pub(crate) struct Ack {
+    pub key: u128,
+    /// Index into the key's write history; `None` for a delete.
+    pub hist_idx: Option<usize>,
+    pub dep: Dependency,
+    pub acked: bool,
+}
+
+/// Per-run state of the [`KvOp`] interpreter: the store under test, the
+/// model, and the bookkeeping the §4.4 relaxations need.
 pub(crate) struct RunCtx {
     pub store: Store,
+    pub model: CrashAwareKvModel,
+    pub policy: Policy,
+    pub geometry: Geometry,
     pub puts_so_far: Vec<u128>,
     pub history: BTreeMap<u128, Vec<Arc<Vec<u8>>>>,
     pub has_failed: bool,
@@ -140,16 +186,34 @@ pub(crate) struct RunCtx {
     /// checker catch bugs like issue #5, where a reclamation silently
     /// swallowed an IO error and lost data for keys no failed operation
     /// ever touched.
-    pub uncertain: std::collections::BTreeSet<u128>,
+    pub uncertain: BTreeSet<u128>,
     pub skipped_no_space: usize,
+    /// Every successful mutation's dependency, in order.
+    pub acks: Vec<Ack>,
+    /// Keys deleted at or after their last acknowledged write (a later
+    /// `None` read is then legal).
+    pub deleted_after_ack: BTreeSet<u128>,
+    /// Degraded read errors observed (and tolerated).
+    pub degraded_reads: u64,
 }
 
 impl RunCtx {
-    pub fn new(cfg: &ConformanceConfig) -> Self {
-        let store = Store::format(cfg.geometry, cfg.store.clone(), cfg.faults.clone());
-        if cfg.background_writeback {
-            // Reboots reuse the same scheduler, so the mode survives
-            // every recovery in the sequence.
+    pub fn new(cfg: &ConformanceConfig, policy: Policy) -> Self {
+        Self::format(cfg.geometry, &cfg.store, &cfg.faults, cfg.background_writeback, policy)
+    }
+
+    /// Formats a fresh store (optionally with the background writeback
+    /// engine; reboots reuse the scheduler, so the mode survives every
+    /// recovery in the sequence).
+    pub fn format(
+        geometry: Geometry,
+        store: &StoreConfig,
+        faults: &FaultConfig,
+        background_writeback: bool,
+        policy: Policy,
+    ) -> Self {
+        let store = Store::format(geometry, store.clone(), faults.clone());
+        if background_writeback {
             store.scheduler().set_writeback_mode(
                 shardstore_dependency::WritebackMode::Background(
                     shardstore_dependency::WritebackConfig::default(),
@@ -158,29 +222,47 @@ impl RunCtx {
         }
         Self {
             store,
+            model: CrashAwareKvModel::new(faults.clone()),
+            policy,
+            geometry,
             puts_so_far: Vec::new(),
             history: BTreeMap::new(),
             has_failed: false,
-            uncertain: std::collections::BTreeSet::new(),
+            uncertain: BTreeSet::new(),
             skipped_no_space: 0,
+            acks: Vec::new(),
+            deleted_after_ack: BTreeSet::new(),
+            degraded_reads: 0,
         }
+    }
+
+    /// The runner report for a run that did not diverge.
+    pub fn report(&self, ops: usize) -> RunReport {
+        RunReport { ops, skipped_no_space: self.skipped_no_space, has_failed: self.has_failed }
     }
 
     /// Marks every key (model-side and implementation-side) uncertain —
     /// used when a failed background operation (flush, reclaim, shutdown,
-    /// pump) leaves no way to attribute ambiguity to specific keys.
-    pub fn mark_all_uncertain(&mut self, model_keys: impl IntoIterator<Item = u128>) {
-        self.uncertain.extend(model_keys);
+    /// pump) leaves no way to attribute ambiguity to specific keys. The
+    /// crash policy relaxes every key anyway and skips the listing.
+    fn mark_all_uncertain(&mut self) {
+        if self.policy == Policy::Crash {
+            return;
+        }
+        self.uncertain.extend(self.model.list());
         if let Ok(keys) = self.store.list() {
             self.uncertain.extend(keys);
         }
         self.uncertain.extend(self.history.keys().copied());
     }
 
-    /// Records a written value for the never-wrong-data check.
-    pub fn record_write(&mut self, key: u128, value: Arc<Vec<u8>>) {
+    /// Records a written value for the never-wrong-data check; returns
+    /// its index in the key's write history.
+    fn record_write(&mut self, key: u128, value: Arc<Vec<u8>>) -> usize {
         self.puts_so_far.push(key);
-        self.history.entry(key).or_default().push(value);
+        let h = self.history.entry(key).or_default();
+        h.push(value);
+        h.len() - 1
     }
 
     /// True if `bytes` was ever written to `key`.
@@ -189,29 +271,381 @@ impl RunCtx {
     }
 
     /// Treats an error as tolerable only when a failure was injected.
-    pub fn tolerate(&self, e: &StoreError) -> bool {
+    fn tolerate(&self, e: &StoreError) -> bool {
         self.has_failed && !matches!(e, StoreError::OutOfService)
     }
-}
 
-fn diverge(op_index: usize, op: &KvOp, detail: impl Into<String>) -> Divergence {
-    Divergence {
-        op_index,
-        op: format!("{op:?}"),
-        detail: detail.into(),
-        timeline: String::new(),
-        dropped_events: 0,
+    /// True if the key's most recent write was never acknowledged (or
+    /// the key was never written successfully). Under a fault such a
+    /// write may legitimately vanish — its data write can be `Lost` to a
+    /// quarantine before persisting, and the client was never told
+    /// otherwise.
+    fn latest_write_unacked(&self, key: u128) -> bool {
+        match self.acks.iter().rev().find(|t| t.key == key && t.hist_idx.is_some()) {
+            Some(t) => !t.acked,
+            None => true,
+        }
     }
-}
 
-fn is_no_space(e: &StoreError) -> bool {
-    matches!(
-        e,
-        StoreError::Chunk(shardstore_chunk::ChunkError::NoSpace { .. })
-            | StoreError::Lsm(shardstore_lsm::LsmError::Chunk(
-                shardstore_chunk::ChunkError::NoSpace { .. }
-            ))
-    )
+    /// Whether the policy lets `key` be lost or stale (never corrupt).
+    fn relaxed(&self, key: u128) -> bool {
+        self.has_failed
+            && match self.policy {
+                Policy::Strict => self.uncertain.contains(&key),
+                Policy::Crash => true,
+                Policy::AckPrecise => {
+                    self.uncertain.contains(&key) || self.latest_write_unacked(key)
+                }
+            }
+    }
+
+    /// One step of the [`KvOp`] interpreter: applies `op` to both the
+    /// implementation and the model and compares the outcomes (§4.1, with
+    /// the §4.4 relaxation of the world's policy).
+    pub fn step(&mut self, op: &KvOp) -> Result<(), String> {
+        let page_size = self.geometry.page_size;
+        match op {
+            KvOp::Get(kr) => {
+                let key = kr.resolve(&self.puts_so_far);
+                let got = self.store.get(key);
+                self.check_get(key, got)?;
+            }
+            KvOp::Put(kr, spec) => {
+                let key = kr.resolve(&self.puts_so_far);
+                let value = Arc::new(spec.materialize(key, page_size));
+                match self.store.put(key, &value) {
+                    Ok(dep) => self.applied_put(key, value, dep),
+                    Err(e) => self.failed_mutation(e, "put", vec![(key, Some(value))])?,
+                }
+            }
+            KvOp::PutBatch(elems) => {
+                // All key references resolve against the state before the
+                // batch; the batch itself is atomic per element (equivalent
+                // to the puts applied in order).
+                let batch: Vec<(u128, Arc<Vec<u8>>)> = elems
+                    .iter()
+                    .map(|(kr, spec)| {
+                        let key = kr.resolve(&self.puts_so_far);
+                        (key, Arc::new(spec.materialize(key, page_size)))
+                    })
+                    .collect();
+                let arg: Vec<(u128, Vec<u8>)> =
+                    batch.iter().map(|(k, v)| (*k, v.to_vec())).collect();
+                match self.store.put_batch(&arg) {
+                    Ok(deps) => {
+                        for ((key, value), dep) in batch.into_iter().zip(deps) {
+                            self.applied_put(key, value, dep);
+                        }
+                    }
+                    // Any prefix of the batch may have applied: every
+                    // batched key's state is ambiguous.
+                    Err(e) => self.failed_mutation(
+                        e,
+                        "put_batch",
+                        batch.into_iter().map(|(k, v)| (k, Some(v))).collect(),
+                    )?,
+                }
+            }
+            KvOp::Delete(kr) => {
+                let key = kr.resolve(&self.puts_so_far);
+                match self.store.delete(key) {
+                    Ok(dep) => {
+                        self.model.delete(key, dep.clone());
+                        self.acks.push(Ack { key, hist_idx: None, dep, acked: false });
+                    }
+                    Err(e) => self.failed_mutation(e, "delete", vec![(key, None)])?,
+                }
+            }
+            KvOp::Scan(a, b) => {
+                let ka = a.resolve(&self.puts_so_far);
+                let kb = b.resolve(&self.puts_so_far);
+                let (start, end) = (ka.min(kb), ka.max(kb));
+                let got = self.store.scan(start, end);
+                self.check_scan(start, end, got)?;
+            }
+            KvOp::IndexFlush => {
+                if let Err(e) = self.store.flush_index() {
+                    self.failed_background(e, "flush")?;
+                }
+            }
+            KvOp::Compact => {
+                if let Err(e) = self.store.compact_index() {
+                    self.failed_background(e, "compact")?;
+                }
+            }
+            KvOp::Reclaim(stream) => match self.store.reclaim(*stream) {
+                Ok(true) => self.model.note_reclaim(),
+                Ok(false) => {}
+                Err(e) => self.failed_background(e, "reclaim")?,
+            },
+            KvOp::CacheDrop => self.store.drop_caches(),
+            KvOp::Pump(n) => {
+                let sched = self.store.scheduler();
+                if let Err(e) = sched.issue_ready(*n as usize).and_then(|_| sched.flush_issued()) {
+                    if !self.has_failed {
+                        return Err(format!("pump failed: {e}"));
+                    }
+                    self.mark_all_uncertain();
+                }
+                if self.policy == Policy::AckPrecise {
+                    // Pumping may have surfaced a permanent fault; let the
+                    // store quarantine and evacuate.
+                    let _ = self.store.evacuate_pending();
+                }
+            }
+            KvOp::Reboot => self.clean_reboot()?,
+            KvOp::DirtyReboot(rt) => {
+                // Only the crash policy checks crashes; elsewhere it is a
+                // no-op so alphabets can be shared.
+                if self.policy == Policy::Crash {
+                    crate::crash::dirty_reboot(self, rt)?;
+                }
+            }
+            KvOp::FailDiskOnce(raw) => {
+                let target = KvOp::fail_target(*raw, self.geometry.extent_count);
+                self.store.scheduler().disk().inject_fail_once(target);
+                self.has_failed = true;
+            }
+        }
+        Ok(())
+    }
+
+    fn applied_put(&mut self, key: u128, value: Arc<Vec<u8>>, dep: Dependency) {
+        self.model.put(key, &value, dep.clone());
+        let hist_idx = self.record_write(key, value);
+        self.deleted_after_ack.remove(&key);
+        self.acks.push(Ack { key, hist_idx: Some(hist_idx), dep, acked: false });
+    }
+
+    /// A mutation (`Some` = put, `None` = delete) returned an error.
+    /// Resource exhaustion is out of scope (§4.4) and leaves the model
+    /// untouched; a tolerated failure may have partially applied, so each
+    /// key's state becomes ambiguous.
+    fn failed_mutation(
+        &mut self,
+        e: StoreError,
+        what: &str,
+        keys: Vec<(u128, Option<Arc<Vec<u8>>>)>,
+    ) -> Result<(), String> {
+        if e.is_no_space() {
+            self.skipped_no_space += 1;
+            return Ok(());
+        }
+        if !self.tolerate(&e) {
+            return Err(format!("{what} failed: {e}"));
+        }
+        for (key, value) in keys {
+            if self.policy == Policy::Crash {
+                // Record the attempted mutation with a dependency that can
+                // never persist: the crash-aware model then allows either
+                // outcome but never demands the failed write survive.
+                let dead = self.store.scheduler().promise().dependency();
+                match &value {
+                    Some(v) => self.model.put(key, v, dead),
+                    None => self.model.delete(key, dead),
+                }
+            }
+            match value {
+                Some(v) => {
+                    self.record_write(key, v);
+                }
+                None => {
+                    self.deleted_after_ack.insert(key);
+                }
+            }
+            self.uncertain.insert(key);
+        }
+        Ok(())
+    }
+
+    /// A background operation (flush, compaction, reclamation) failed.
+    fn failed_background(&mut self, e: StoreError, what: &str) -> Result<(), String> {
+        if !self.tolerate(&e) && !e.is_no_space() {
+            return Err(format!("{what} failed: {e}"));
+        }
+        self.mark_all_uncertain();
+        Ok(())
+    }
+
+    /// Clean reboot: flush everything, check forward progress (crash
+    /// policy), recover from the disk alone.
+    fn clean_reboot(&mut self) -> Result<(), String> {
+        // A genuinely full disk can leave the shutdown flush nowhere to
+        // write even after reclamation (§4.4 resource exhaustion): the
+        // memtable's keys — and only those — may come back stale or absent
+        // after the reboot. Capture them so the model can be reconciled
+        // below; flushed state must still survive, and the reconciliation
+        // insists any surviving value was actually written
+        // (never-wrong-data is not relaxed).
+        let mut lost_unflushed: Vec<u128> = Vec::new();
+        let mut shutdown_no_space = false;
+        if let Err(e) = self.store.clean_shutdown() {
+            if !self.tolerate(&e) && !e.is_no_space() {
+                return Err(format!("clean shutdown failed: {e}"));
+            }
+            shutdown_no_space = e.is_no_space();
+            if self.policy != Policy::Crash {
+                lost_unflushed = self.store.unflushed_keys();
+                self.mark_all_uncertain();
+            }
+        }
+        if self.policy == Policy::Crash && !self.has_failed && !shutdown_no_space {
+            crate::crash::check_forward_progress(self)?;
+        }
+        match self.store.dirty_reboot(&CrashPlan::LoseAll) {
+            Ok(recovered) => self.store = recovered,
+            Err(e) => {
+                if !self.has_failed {
+                    return Err(format!("recovery failed: {e}"));
+                }
+                // Recovery blocked by a permanent injected failure (a dead
+                // node would be re-replicated from other hosts): clear it
+                // and re-create the store to keep the run going.
+                self.store.scheduler().disk().clear_failures();
+                if self.policy == Policy::AckPrecise {
+                    self.mark_all_uncertain();
+                }
+                self.store = self
+                    .store
+                    .dirty_reboot(&CrashPlan::LoseAll)
+                    .map_err(|e| format!("recovery failed twice: {e}"))?;
+            }
+        }
+        if self.policy == Policy::Crash {
+            self.model.crash();
+        }
+        for key in lost_unflushed {
+            match self.store.get(key) {
+                Ok(Some(v)) => {
+                    if self.model.current(key).is_some_and(|e| *e == v) {
+                        continue;
+                    }
+                    if !self.was_written(key, &v) {
+                        return Err(format!(
+                            "key {key} returned bytes never written after a no-space shutdown"
+                        ));
+                    }
+                    self.model.resync(key, Some(Arc::new(v)));
+                }
+                Ok(None) => self.model.resync(key, None),
+                Err(_) if self.has_failed => {}
+                Err(e) => return Err(format!("get({key}) failed after a no-space shutdown: {e}")),
+            }
+        }
+        Ok(())
+    }
+
+    /// Compares a point read against the model: exact, except that a
+    /// relaxed key may be missing or return any value once written to it,
+    /// and the read itself may fail once a failure has fired.
+    fn check_get(
+        &mut self,
+        key: u128,
+        got: Result<Option<Vec<u8>>, StoreError>,
+    ) -> Result<(), String> {
+        let expected = self.model.current(key);
+        let relaxed = self.relaxed(key);
+        match (got, expected) {
+            (Ok(None), None) => Ok(()),
+            (Ok(Some(g)), Some(e)) if g == *e => Ok(()),
+            // An operation itself erroring is tolerated once failures are
+            // in play (the disk really can fail reads).
+            (Err(e), _) if self.has_failed => {
+                if e.is_degraded() {
+                    self.degraded_reads += 1;
+                }
+                Ok(())
+            }
+            // Missing or stale data is tolerated only for relaxed keys —
+            // never as a blanket pass under the per-key policies. Silent
+            // data loss for untouched keys (the issue #5 signature) stays
+            // a violation.
+            (Ok(None), Some(_)) if relaxed => Ok(()),
+            (Ok(Some(g)), _) if relaxed && self.was_written(key, &g) => Ok(()),
+            (Ok(Some(g)), Some(e)) => Err(format!(
+                "get({key}) returned {} bytes, model has {} bytes",
+                g.len(),
+                e.len()
+            )),
+            (Ok(Some(_)), None) => Err(format!("get({key}) returned data for an absent key")),
+            (Ok(None), Some(_)) => Err(format!("get({key}) lost data the model still has")),
+            (Err(e), _) => Err(format!("get({key}) failed: {e}")),
+        }
+    }
+
+    /// Compares a scan against the model's range with the same per-key
+    /// relaxation as [`RunCtx::check_get`]: after a failure the scan may
+    /// error, and relaxed keys may be missing, extra, or stale — but any
+    /// returned bytes must be some value actually written to that key (a
+    /// scan never fabricates).
+    fn check_scan(
+        &mut self,
+        start: u128,
+        end: u128,
+        got: Result<Vec<(u128, ValueBuf)>, StoreError>,
+    ) -> Result<(), String> {
+        let got = match got {
+            Ok(g) => g,
+            Err(e) if self.has_failed => {
+                // Degraded mode: the scan crossed a quarantined extent and
+                // honestly refused (§4.4) rather than silently skip a key.
+                if e.is_degraded() {
+                    self.degraded_reads += 1;
+                }
+                return Ok(());
+            }
+            Err(e) => return Err(format!("scan({start}, {end}) failed: {e}")),
+        };
+        if !got.windows(2).all(|w| w[0].0 < w[1].0) {
+            return Err("scan entries are not strictly ascending".to_string());
+        }
+        if let Some((k, _)) = got.iter().find(|(k, _)| *k < start || *k > end) {
+            return Err(format!("scan returned key {k} outside [{start}, {end}]"));
+        }
+        let expected = self.model.scan(start, end);
+        if !self.has_failed {
+            let got_keys: Vec<u128> = got.iter().map(|(k, _)| *k).collect();
+            let exp_keys: Vec<u128> = expected.iter().map(|(k, _)| *k).collect();
+            if got_keys != exp_keys {
+                return Err(format!(
+                    "scan key sets diverge: impl {got_keys:?} vs model {exp_keys:?}"
+                ));
+            }
+            for ((key, gv), (_, ev)) in got.iter().zip(&expected) {
+                if *gv != **ev {
+                    return Err(format!(
+                        "scan value mismatch for key {key}: impl {} bytes, model {} bytes",
+                        gv.len(),
+                        ev.len()
+                    ));
+                }
+            }
+            return Ok(());
+        }
+        let got_keys: BTreeSet<u128> = got.iter().map(|(k, _)| *k).collect();
+        for (key, _) in &expected {
+            if !got_keys.contains(key) && !self.relaxed(*key) {
+                return Err(format!("scan lost key {key} although no operation on it failed"));
+            }
+        }
+        let expected: BTreeMap<u128, Arc<Vec<u8>>> = expected.into_iter().collect();
+        for (key, value) in &got {
+            let model = expected.get(key);
+            if model.is_some_and(|e| *value == **e) {
+                continue;
+            }
+            if !self.relaxed(*key) {
+                return Err(match model {
+                    Some(_) => format!("scan returned a stale value for key {key}"),
+                    None => format!("scan returned key {key} the model deleted"),
+                });
+            }
+            if !self.was_written(*key, &value.to_vec()) {
+                return Err(format!("scan returned bytes for key {key} that were never written"));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Runs a sequence of crash-free operations, checking conformance against
@@ -232,406 +666,52 @@ pub fn run_conformance(ops: &[KvOp], cfg: &ConformanceConfig) -> Result<RunRepor
     Ok(outcome.report)
 }
 
-/// One conformance step: applies `op` to both implementation and model
-/// and compares the outcomes (§4.1, with the §4.4 relaxation).
-pub(crate) fn apply_op(
-    ctx: &mut RunCtx,
-    model: &mut KvModel,
-    i: usize,
-    op: &KvOp,
-    page_size: usize,
-    cfg: &ConformanceConfig,
-) -> Result<(), Divergence> {
-    match op {
-        KvOp::Get(kr) => {
-            let key = kr.resolve(&ctx.puts_so_far);
-            let got = ctx.store.get(key);
-            let expected = model.get(key);
-            compare_get(ctx, i, op, key, got, expected)?;
-        }
-        KvOp::Put(kr, spec) => {
-            let key = kr.resolve(&ctx.puts_so_far);
-            let value = Arc::new(spec.materialize(key, page_size));
-            match ctx.store.put(key, &value) {
-                Ok(_dep) => {
-                    model.put(key, &value);
-                    ctx.record_write(key, value);
-                }
-                Err(e) if is_no_space(&e) => {
-                    // Resource exhaustion: out of scope (§4.4); the model
-                    // is not updated so both sides stay equivalent.
-                    ctx.skipped_no_space += 1;
-                }
-                Err(e) if ctx.tolerate(&e) => {
-                    // The put may have partially applied: the key's state
-                    // is ambiguous between the old and new value.
-                    ctx.record_write(key, value);
-                    ctx.uncertain.insert(key);
-                }
-                Err(e) => return Err(diverge(i, op, format!("put failed: {e}"))),
-            }
-        }
-        KvOp::PutBatch(elems) => {
-            // All key references resolve against the state before the
-            // batch; the batch itself is atomic per element (equivalent
-            // to the puts applied in order).
-            let batch: Vec<(u128, Arc<Vec<u8>>)> = elems
-                .iter()
-                .map(|(kr, spec)| {
-                    let key = kr.resolve(&ctx.puts_so_far);
-                    (key, Arc::new(spec.materialize(key, page_size)))
-                })
-                .collect();
-            let arg: Vec<(u128, Vec<u8>)> =
-                batch.iter().map(|(k, v)| (*k, v.to_vec())).collect();
-            match ctx.store.put_batch(&arg) {
-                Ok(_deps) => {
-                    for (key, value) in batch {
-                        model.put(key, &value);
-                        ctx.record_write(key, value);
-                    }
-                }
-                Err(e) if is_no_space(&e) => {
-                    ctx.skipped_no_space += 1;
-                }
-                Err(e) if ctx.tolerate(&e) => {
-                    // Any prefix of the batch may have applied: every
-                    // batched key's state is ambiguous.
-                    for (key, value) in batch {
-                        ctx.record_write(key, value);
-                        ctx.uncertain.insert(key);
-                    }
-                }
-                Err(e) => return Err(diverge(i, op, format!("put_batch failed: {e}"))),
-            }
-        }
-        KvOp::Delete(kr) => {
-            let key = kr.resolve(&ctx.puts_so_far);
-            match ctx.store.delete(key) {
-                Ok(_dep) => {
-                    model.delete(key);
-                }
-                Err(e) if is_no_space(&e) => {
-                    ctx.skipped_no_space += 1;
-                }
-                Err(e) if ctx.tolerate(&e) => {
-                    ctx.uncertain.insert(key);
-                }
-                Err(e) => return Err(diverge(i, op, format!("delete failed: {e}"))),
-            }
-        }
-        KvOp::Scan(a, b) => {
-            let ka = a.resolve(&ctx.puts_so_far);
-            let kb = b.resolve(&ctx.puts_so_far);
-            let (start, end) = (ka.min(kb), ka.max(kb));
-            let got = ctx.store.scan(start, end);
-            let expected = model.scan(start, end);
-            compare_scan(ctx, i, op, start, end, got, expected)?;
-        }
-        KvOp::IndexFlush => {
-            if let Err(e) = ctx.store.flush_index() {
-                if !ctx.tolerate(&e) && !is_no_space(&e) {
-                    return Err(diverge(i, op, format!("flush failed: {e}")));
-                }
-                ctx.mark_all_uncertain(model.list());
-            }
-        }
-        KvOp::Compact => {
-            if let Err(e) = ctx.store.compact_index() {
-                if !ctx.tolerate(&e) && !is_no_space(&e) {
-                    return Err(diverge(i, op, format!("compact failed: {e}")));
-                }
-                ctx.mark_all_uncertain(model.list());
-            }
-        }
-        KvOp::Reclaim(stream) => {
-            if let Err(e) = ctx.store.reclaim(*stream) {
-                if !ctx.tolerate(&e) && !is_no_space(&e) {
-                    return Err(diverge(i, op, format!("reclaim failed: {e}")));
-                }
-                ctx.mark_all_uncertain(model.list());
-            }
-        }
-        KvOp::CacheDrop => {
-            ctx.store.drop_caches();
-        }
-        KvOp::Pump(n) => {
-            let sched = ctx.store.scheduler();
-            if let Err(e) = sched.issue_ready(*n as usize).and_then(|_| sched.flush_issued()) {
-                if !ctx.has_failed {
-                    return Err(diverge(i, op, format!("pump failed: {e}")));
-                }
-                ctx.mark_all_uncertain(model.list());
-            }
-        }
-        KvOp::Reboot => {
-            // A genuinely full disk can leave the shutdown flush nowhere
-            // to write even after reclamation (§4.4 resource exhaustion):
-            // the memtable's keys — and only those — may come back stale
-            // or absent after the reboot. Capture them so the model can
-            // be reconciled below; flushed state must still survive, and
-            // the reconciliation insists any surviving value was actually
-            // written (never-wrong-data is not relaxed).
-            let mut lost_unflushed: Vec<u128> = Vec::new();
-            if let Err(e) = ctx.store.clean_shutdown() {
-                if !ctx.tolerate(&e) && !is_no_space(&e) {
-                    return Err(diverge(i, op, format!("clean shutdown failed: {e}")));
-                }
-                lost_unflushed = ctx.store.unflushed_keys();
-                ctx.mark_all_uncertain(model.list());
-            }
-            // Everything must be durable after a clean shutdown: recover
-            // from the disk alone.
-            match ctx.store.dirty_reboot(&CrashPlan::LoseAll) {
-                Ok(recovered) => ctx.store = recovered,
-                Err(e) => {
-                    if !ctx.has_failed {
-                        return Err(diverge(i, op, format!("recovery failed: {e}")));
-                    }
-                    // Recovery blocked by a permanent injected failure:
-                    // re-create the store to keep the run going.
-                    ctx.store.scheduler().disk().clear_failures();
-                    ctx.store = ctx
-                        .store
-                        .dirty_reboot(&CrashPlan::LoseAll)
-                        .map_err(|e| diverge(i, op, format!("recovery failed twice: {e}")))?;
-                }
-            }
-            for key in lost_unflushed {
-                match ctx.store.get(key) {
-                    Ok(Some(v)) => {
-                        if model.get(key).map(|e| **e == *v).unwrap_or(false) {
-                            continue;
-                        }
-                        if !ctx.was_written(key, &v) {
-                            return Err(diverge(
-                                i,
-                                op,
-                                format!(
-                                    "key {key} returned bytes never written after a \
-                                     no-space shutdown"
-                                ),
-                            ));
-                        }
-                        model.put(key, &v);
-                    }
-                    Ok(None) => {
-                        model.delete(key);
-                    }
-                    Err(_) if ctx.has_failed => {}
-                    Err(e) => {
-                        return Err(diverge(
-                            i,
-                            op,
-                            format!("get({key}) failed after a no-space shutdown: {e}"),
-                        ));
-                    }
-                }
-            }
-        }
-        KvOp::DirtyReboot(_) => {
-            // Only meaningful in the crash runner; treated as a no-op here
-            // so alphabets can be shared.
-        }
-        KvOp::FailDiskOnce(raw) => {
-            let disk = ctx.store.scheduler().disk().clone();
-            let target = KvOp::fail_target(*raw, cfg.geometry.extent_count);
-            disk.inject_fail_once(target);
-            ctx.has_failed = true;
-        }
-    }
-    Ok(())
-}
-
-fn compare_get(
-    ctx: &RunCtx,
-    i: usize,
-    op: &KvOp,
-    key: u128,
-    got: Result<Option<Vec<u8>>, StoreError>,
-    expected: Option<Arc<Vec<u8>>>,
-) -> Result<(), Divergence> {
-    let uncertain = ctx.uncertain.contains(&key);
-    match (got, expected, ctx.has_failed) {
-        (Ok(None), None, _) => Ok(()),
-        (Ok(Some(g)), Some(e), _) if *g == **e => Ok(()),
-        // An operation itself erroring is tolerated once failures are in
-        // play (the disk really can fail reads).
-        (Err(_), _, true) => Ok(()),
-        // Missing or stale data is tolerated only for keys whose own
-        // state is ambiguous — never as a blanket pass. Silent data loss
-        // for untouched keys (the issue #5 signature) stays a violation.
-        (Ok(None), Some(_), true) if uncertain => Ok(()),
-        (Ok(Some(g)), _, true) if uncertain && ctx.was_written(key, &g) => Ok(()),
-        (Ok(Some(g)), Some(e), _) => Err(diverge(
-            i,
-            op,
-            format!("get({key}) returned {} bytes, model has {} bytes", g.len(), e.len()),
-        )),
-        (Ok(Some(_)), None, _) => {
-            Err(diverge(i, op, format!("get({key}) returned data for an absent key")))
-        }
-        (Ok(None), Some(_), _) => {
-            Err(diverge(i, op, format!("get({key}) lost data the model still has")))
-        }
-        (Err(e), _, false) => Err(diverge(i, op, format!("get({key}) failed: {e}"))),
-    }
-}
-
-/// Compares a scan result against the model's range, with the §4.4
-/// relaxations: after an injected failure the scan may error, and
-/// *uncertain* keys may be missing or extra — but a certain key must
-/// appear exactly when the model has it, and any returned bytes must be
-/// some value actually written to that key (a scan never fabricates).
-pub(crate) fn compare_scan(
-    ctx: &RunCtx,
-    i: usize,
-    op: &KvOp,
-    start: u128,
-    end: u128,
-    got: Result<Vec<(u128, ValueBuf)>, StoreError>,
-    expected: Vec<(u128, Arc<Vec<u8>>)>,
-) -> Result<(), Divergence> {
-    let got = match got {
-        Ok(g) => g,
-        Err(_) if ctx.has_failed => return Ok(()),
-        Err(e) => return Err(diverge(i, op, format!("scan({start}, {end}) failed: {e}"))),
-    };
-    if !got.windows(2).all(|w| w[0].0 < w[1].0) {
-        return Err(diverge(i, op, "scan entries are not strictly ascending".to_string()));
-    }
-    if let Some((k, _)) = got.iter().find(|(k, _)| *k < start || *k > end) {
-        return Err(diverge(i, op, format!("scan returned key {k} outside [{start}, {end}]")));
-    }
-    if !ctx.has_failed {
-        let got_keys: Vec<u128> = got.iter().map(|(k, _)| *k).collect();
-        let exp_keys: Vec<u128> = expected.iter().map(|(k, _)| *k).collect();
-        if got_keys != exp_keys {
-            return Err(diverge(
-                i,
-                op,
-                format!("scan key sets diverge: impl {got_keys:?} vs model {exp_keys:?}"),
-            ));
-        }
-        for ((key, gv), (_, ev)) in got.iter().zip(&expected) {
-            if *gv != **ev {
-                return Err(diverge(
-                    i,
-                    op,
-                    format!(
-                        "scan value mismatch for key {key}: impl {} bytes, model {} bytes",
-                        gv.len(),
-                        ev.len()
-                    ),
-                ));
-            }
-        }
-    } else {
-        let got_keys: std::collections::BTreeSet<u128> = got.iter().map(|(k, _)| *k).collect();
-        for (key, _) in expected.iter().filter(|(k, _)| !ctx.uncertain.contains(k)) {
-            if !got_keys.contains(key) {
-                return Err(diverge(
-                    i,
-                    op,
-                    format!("scan lost key {key} although no operation on it failed"),
-                ));
-            }
-        }
-        let exp_keys: std::collections::BTreeSet<u128> =
-            expected.iter().map(|(k, _)| *k).collect();
-        for (key, value) in &got {
-            if !exp_keys.contains(key) && !ctx.uncertain.contains(key) {
-                return Err(diverge(
-                    i,
-                    op,
-                    format!("scan returned key {key} the model deleted"),
-                ));
-            }
-            if !ctx.was_written(*key, &value.to_vec()) {
-                return Err(diverge(
-                    i,
-                    op,
-                    format!("scan returned bytes for key {key} that were never written"),
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The §4.1 invariant: implementation and model hold the same key-value
-/// mapping (relaxed to the no-corruption check after injected failures).
-pub(crate) fn check_invariants(
-    ctx: &RunCtx,
-    model: &KvModel,
-    i: usize,
-    op: &KvOp,
-) -> Result<(), Divergence> {
+/// The §4.1 invariant, checked after every operation: implementation and
+/// model hold the same key-value mapping (relaxed to the no-corruption
+/// check after injected failures). The sweep checks key sets only.
+pub(crate) fn check_invariants(ctx: &RunCtx) -> Result<(), String> {
     let impl_keys = match ctx.store.list() {
         Ok(k) => k,
-        Err(e) => {
-            if ctx.has_failed {
-                return Ok(());
-            }
-            return Err(diverge(i, op, format!("list failed: {e}")));
-        }
+        Err(_) if ctx.has_failed => return Ok(()),
+        Err(e) => return Err(format!("list failed: {e}")),
     };
-    let model_keys = model.list();
+    let model_keys = ctx.model.list();
+    let strict = ctx.policy == Policy::Strict;
     if !ctx.has_failed {
         if impl_keys != model_keys {
-            return Err(diverge(
-                i,
-                op,
-                format!("key sets diverge: impl {impl_keys:?} vs model {model_keys:?}"),
-            ));
+            return Err(format!("key sets diverge: impl {impl_keys:?} vs model {model_keys:?}"));
         }
-        for key in &model_keys {
-            let expected = model.get(*key).expect("listed key present");
+        for key in model_keys.iter().filter(|_| strict) {
+            let expected = ctx.model.current(*key).expect("listed key present");
             match ctx.store.get(*key) {
-                Ok(Some(got)) if got == **expected => {}
+                Ok(Some(got)) if got == *expected => {}
                 Ok(other) => {
-                    return Err(diverge(
-                        i,
-                        op,
-                        format!(
-                            "value mismatch for key {key}: impl {:?} bytes",
-                            other.map(|v| v.len())
-                        ),
+                    return Err(format!(
+                        "value mismatch for key {key}: impl {:?} bytes",
+                        other.map(|v| v.len())
                     ));
                 }
-                Err(e) => return Err(diverge(i, op, format!("get({key}) failed: {e}"))),
+                Err(e) => return Err(format!("get({key}) failed: {e}")),
             }
         }
-    } else {
-        // Relaxed mode: the key sets may differ only on uncertain keys,
-        // and anything readable must have been written at some point.
-        for key in model_keys.iter().filter(|k| !ctx.uncertain.contains(k)) {
-            if !impl_keys.contains(key) {
-                return Err(diverge(
-                    i,
-                    op,
-                    format!("key {key} lost although no operation on it failed"),
-                ));
-            }
+        return Ok(());
+    }
+    // Relaxed mode: the key sets may differ only on relaxed keys, and
+    // anything readable must have been written at some point.
+    for key in model_keys.iter().filter(|k| !ctx.relaxed(**k)) {
+        if !impl_keys.contains(key) {
+            return Err(format!("key {key} lost although no operation on it failed"));
         }
-        for key in impl_keys.iter().filter(|k| !ctx.uncertain.contains(k)) {
-            if !model_keys.contains(key) {
-                return Err(diverge(
-                    i,
-                    op,
-                    format!("key {key} present although the model deleted it"),
-                ));
-            }
+    }
+    for key in impl_keys.iter().filter(|k| strict && !ctx.uncertain.contains(k)) {
+        if !model_keys.contains(key) {
+            return Err(format!("key {key} present although the model deleted it"));
         }
-        for key in &impl_keys {
-            if let Ok(Some(got)) = ctx.store.get(*key) {
-                if !ctx.was_written(*key, &got) {
-                    return Err(diverge(
-                        i,
-                        op,
-                        format!("key {key} returned bytes that were never written"),
-                    ));
-                }
+    }
+    for key in &impl_keys {
+        if let Ok(Some(got)) = ctx.store.get(*key) {
+            if !ctx.was_written(*key, &got) {
+                return Err(format!("key {key} returned bytes that were never written"));
             }
         }
     }

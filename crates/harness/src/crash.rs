@@ -14,26 +14,19 @@
 //!    value that was actually written (no corruption).
 //! 2. **Forward progress** — after a non-crashing shutdown, every
 //!    operation's dependency reports persistent.
+//!
+//! The operations themselves run through the shared interpreter
+//! ([`RunCtx::step`] under the crash policy); this module holds only the
+//! crash-specific checks.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use shardstore_faults::coverage;
-use shardstore_model::CrashAwareKvModel;
 use shardstore_vdisk::CrashPlan;
 
 use crate::conformance::{ConformanceConfig, Divergence, RunCtx, RunReport};
 use crate::ops::{KvOp, RebootType};
-
-fn diverge(op_index: usize, op: &KvOp, detail: impl Into<String>) -> Divergence {
-    Divergence {
-        op_index,
-        op: format!("{op:?}"),
-        detail: detail.into(),
-        timeline: String::new(),
-        dropped_events: 0,
-    }
-}
 
 /// Runs a sequence that may include dirty reboots, checking the §5
 /// persistence and forward-progress properties at every crash and clean
@@ -55,272 +48,18 @@ pub fn run_crash_consistency(
     Ok(outcome.report)
 }
 
-/// One crash-consistency step (the historical loop body), shared by the
-/// frontend above and the simulator's crash world.
-pub(crate) fn crash_step(
-    ctx: &mut RunCtx,
-    model: &mut CrashAwareKvModel,
-    i: usize,
-    op: &KvOp,
-    cfg: &ConformanceConfig,
-) -> Result<(), Divergence> {
-    let page_size = cfg.geometry.page_size;
-    {
-        match op {
-            KvOp::Get(kr) => {
-                let key = kr.resolve(&ctx.puts_so_far);
-                let got = ctx.store.get(key);
-                match got {
-                    Ok(Some(bytes)) => {
-                        let current = model.current(key);
-                        let matches_current =
-                            current.as_ref().map(|c| ***c == *bytes).unwrap_or(false);
-                        if !matches_current && !ctx.has_failed {
-                            return Err(diverge(i, op, format!("get({key}) wrong value")));
-                        }
-                        if !matches_current && !ctx.was_written(key, &bytes) {
-                            return Err(diverge(
-                                i,
-                                op,
-                                format!("get({key}) returned bytes never written"),
-                            ));
-                        }
-                    }
-                    Ok(None) => {
-                        if model.current(key).is_some() && !ctx.has_failed {
-                            return Err(diverge(i, op, format!("get({key}) lost data")));
-                        }
-                    }
-                    Err(e) => {
-                        if !ctx.has_failed {
-                            return Err(diverge(i, op, format!("get({key}) failed: {e}")));
-                        }
-                    }
-                }
-            }
-            KvOp::Put(kr, spec) => {
-                let key = kr.resolve(&ctx.puts_so_far);
-                let value = Arc::new(spec.materialize(key, page_size));
-                match ctx.store.put(key, &value) {
-                    Ok(dep) => {
-                        model.put(key, &value, dep);
-                        ctx.record_write(key, value);
-                    }
-                    Err(e) if crate::conformance_no_space(&e) => {
-                        ctx.skipped_no_space += 1;
-                    }
-                    Err(e) if ctx.tolerate(&e) => {
-                        // Record the attempted mutation with a dependency
-                        // that can never persist: the crash-aware model
-                        // then allows either outcome but never demands
-                        // the failed write survive.
-                        let dead = ctx.store.scheduler().promise().dependency();
-                        model.put(key, &value, dead);
-                        ctx.record_write(key, value);
-                        ctx.uncertain.insert(key);
-                    }
-                    Err(e) => return Err(diverge(i, op, format!("put failed: {e}"))),
-                }
-            }
-            KvOp::PutBatch(elems) => {
-                let batch: Vec<(u128, Arc<Vec<u8>>)> = elems
-                    .iter()
-                    .map(|(kr, spec)| {
-                        let key = kr.resolve(&ctx.puts_so_far);
-                        (key, Arc::new(spec.materialize(key, page_size)))
-                    })
-                    .collect();
-                let arg: Vec<(u128, Vec<u8>)> =
-                    batch.iter().map(|(k, v)| (*k, v.to_vec())).collect();
-                match ctx.store.put_batch(&arg) {
-                    Ok(deps) => {
-                        for ((key, value), dep) in batch.into_iter().zip(deps) {
-                            model.put(key, &value, dep);
-                            ctx.record_write(key, value);
-                        }
-                    }
-                    Err(e) if crate::conformance_no_space(&e) => {
-                        ctx.skipped_no_space += 1;
-                    }
-                    Err(e) if ctx.tolerate(&e) => {
-                        for (key, value) in batch {
-                            let dead = ctx.store.scheduler().promise().dependency();
-                            model.put(key, &value, dead);
-                            ctx.record_write(key, value);
-                            ctx.uncertain.insert(key);
-                        }
-                    }
-                    Err(e) => return Err(diverge(i, op, format!("put_batch failed: {e}"))),
-                }
-            }
-            KvOp::Delete(kr) => {
-                let key = kr.resolve(&ctx.puts_so_far);
-                match ctx.store.delete(key) {
-                    Ok(dep) => model.delete(key, dep),
-                    Err(e) if crate::conformance_no_space(&e) => {
-                        ctx.skipped_no_space += 1;
-                    }
-                    Err(e) if ctx.tolerate(&e) => {
-                        let dead = ctx.store.scheduler().promise().dependency();
-                        model.delete(key, dead);
-                        ctx.uncertain.insert(key);
-                    }
-                    Err(e) => return Err(diverge(i, op, format!("delete failed: {e}"))),
-                }
-            }
-            KvOp::Scan(a, b) => {
-                let ka = a.resolve(&ctx.puts_so_far);
-                let kb = b.resolve(&ctx.puts_so_far);
-                let (start, end) = (ka.min(kb), ka.max(kb));
-                match ctx.store.scan(start, end) {
-                    Ok(entries) => {
-                        // Between crashes execution is sequential and
-                        // deterministic, so the scan must agree with the
-                        // crash-free current state key by key.
-                        for (key, value) in &entries {
-                            if *key < start || *key > end {
-                                return Err(diverge(
-                                    i,
-                                    op,
-                                    format!("scan returned key {key} outside [{start}, {end}]"),
-                                ));
-                            }
-                            let current = model.current(*key);
-                            let matches_current =
-                                current.as_ref().map(|c| *value == ***c).unwrap_or(false);
-                            if !matches_current && !ctx.has_failed {
-                                return Err(diverge(
-                                    i,
-                                    op,
-                                    format!("scan returned wrong value for key {key}"),
-                                ));
-                            }
-                            if !matches_current && !ctx.was_written(*key, &value.to_vec()) {
-                                return Err(diverge(
-                                    i,
-                                    op,
-                                    format!("scan returned bytes never written for key {key}"),
-                                ));
-                            }
-                        }
-                        if !ctx.has_failed {
-                            let got: BTreeSet<u128> =
-                                entries.iter().map(|(k, _)| *k).collect();
-                            for key in model.tracked_keys() {
-                                if (start..=end).contains(&key)
-                                    && model.current(key).is_some()
-                                    && !got.contains(&key)
-                                {
-                                    return Err(diverge(
-                                        i,
-                                        op,
-                                        format!("scan lost key {key}"),
-                                    ));
-                                }
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        if !ctx.has_failed {
-                            return Err(diverge(i, op, format!("scan failed: {e}")));
-                        }
-                    }
-                }
-            }
-            KvOp::IndexFlush => {
-                if let Err(e) = ctx.store.flush_index() {
-                    if !ctx.tolerate(&e) && !crate::conformance_no_space(&e) {
-                        return Err(diverge(i, op, format!("flush failed: {e}")));
-                    }
-                }
-            }
-            KvOp::Compact => {
-                if let Err(e) = ctx.store.compact_index() {
-                    if !ctx.tolerate(&e) && !crate::conformance_no_space(&e) {
-                        return Err(diverge(i, op, format!("compact failed: {e}")));
-                    }
-                }
-            }
-            KvOp::Reclaim(stream) => {
-                match ctx.store.reclaim(*stream) {
-                    Ok(true) => model.note_reclaim(),
-                    Ok(false) => {}
-                    Err(e) => {
-                        if !ctx.tolerate(&e) && !crate::conformance_no_space(&e) {
-                            return Err(diverge(i, op, format!("reclaim failed: {e}")));
-                        }
-                    }
-                }
-            }
-            KvOp::CacheDrop => ctx.store.drop_caches(),
-            KvOp::Pump(n) => {
-                let sched = ctx.store.scheduler();
-                if let Err(e) = sched.issue_ready(*n as usize).and_then(|_| sched.flush_issued())
-                {
-                    if !ctx.has_failed {
-                        return Err(diverge(i, op, format!("pump failed: {e}")));
-                    }
-                }
-            }
-            KvOp::Reboot => {
-                let mut shutdown_no_space = false;
-                if let Err(e) = ctx.store.clean_shutdown() {
-                    if !ctx.tolerate(&e) && !crate::conformance_no_space(&e) {
-                        return Err(diverge(i, op, format!("clean shutdown failed: {e}")));
-                    }
-                    shutdown_no_space = crate::conformance_no_space(&e);
-                }
-                // Forward progress: every dependency persistent after a
-                // non-crashing shutdown (skipped once failures fired —
-                // failed writes legitimately never persist — and when the
-                // shutdown flush itself had no space to write: unflushed
-                // dependencies then legitimately stay unpersistent, and
-                // the crash-aware model already permits their loss).
-                if !ctx.has_failed && !shutdown_no_space {
-                    if let Err(key) = model.check_forward_progress() {
-                        coverage::hit("crashcheck.forward_progress_violation");
-                        return Err(diverge(
-                            i,
-                            op,
-                            format!("forward progress: dependency for key {key} not persistent after clean shutdown"),
-                        ));
-                    }
-                }
-                match ctx.store.dirty_reboot(&CrashPlan::LoseAll) {
-                    Ok(recovered) => ctx.store = recovered,
-                    Err(e) => {
-                        if !ctx.has_failed {
-                            return Err(diverge(i, op, format!("recovery failed: {e}")));
-                        }
-                        ctx.store.scheduler().disk().clear_failures();
-                        ctx.store = ctx
-                            .store
-                            .dirty_reboot(&CrashPlan::LoseAll)
-                            .map_err(|e| diverge(i, op, format!("recovery failed twice: {e}")))?;
-                    }
-                }
-                model.crash();
-            }
-            KvOp::DirtyReboot(rt) => {
-                dirty_reboot(ctx, model, i, op, rt)?;
-            }
-            KvOp::FailDiskOnce(raw) => {
-                let disk = ctx.store.scheduler().disk().clone();
-                disk.inject_fail_once(KvOp::fail_target(*raw, cfg.geometry.extent_count));
-                ctx.has_failed = true;
-            }
-        }
-    }
-    Ok(())
+/// The §5 forward-progress check, run after a non-crashing shutdown:
+/// every recorded mutation's dependency must report persistent.
+pub(crate) fn check_forward_progress(ctx: &RunCtx) -> Result<(), String> {
+    ctx.model.check_forward_progress().map_err(|key| {
+        coverage::hit("crashcheck.forward_progress_violation");
+        format!("forward progress: dependency for key {key} not persistent after clean shutdown")
+    })
 }
 
-pub(crate) fn dirty_reboot(
-    ctx: &mut RunCtx,
-    model: &mut CrashAwareKvModel,
-    i: usize,
-    op: &KvOp,
-    rt: &RebootType,
-) -> Result<(), Divergence> {
+/// Crashes the store with `rt`'s volatile-state treatment, recovers, and
+/// checks the §5 persistence property for every tracked key.
+pub(crate) fn dirty_reboot(ctx: &mut RunCtx, rt: &RebootType) -> Result<(), String> {
     coverage::hit("crashcheck.dirty_reboot");
     // Pre-crash volatile-state treatment (§5's RebootType).
     if rt.flush_index {
@@ -350,26 +89,25 @@ pub(crate) fn dirty_reboot(
                 ctx.store.scheduler().disk().clear_failures();
                 ctx.store
                     .dirty_reboot(&CrashPlan::LoseAll)
-                    .map_err(|e| diverge(i, op, format!("recovery failed twice: {e}")))?
+                    .map_err(|e| format!("recovery failed twice: {e}"))?
             } else {
-                return Err(diverge(i, op, format!("recovery failed: {e}")));
+                return Err(format!("recovery failed: {e}"));
             }
         }
     };
     ctx.store = recovered;
     // The §5 persistence check, one key at a time, collecting the
     // observed post-recovery state to resynchronize the model.
-    let mut observations: std::collections::BTreeMap<u128, Option<Arc<Vec<u8>>>> =
-        std::collections::BTreeMap::new();
-    for key in model.tracked_keys() {
-        let exp = model.expectation(key);
+    let mut observations: BTreeMap<u128, Option<Arc<Vec<u8>>>> = BTreeMap::new();
+    for key in ctx.model.tracked_keys() {
+        let exp = ctx.model.expectation(key);
         let observed = match ctx.store.get(key) {
             Ok(v) => v.map(Arc::new),
             Err(e) => {
                 if ctx.has_failed {
                     continue;
                 }
-                return Err(diverge(i, op, format!("post-crash get({key}) failed: {e}")));
+                return Err(format!("post-crash get({key}) failed: {e}"));
             }
         };
         observations.insert(key, observed.clone());
@@ -379,14 +117,10 @@ pub(crate) fn dirty_reboot(
         // value can only be "missing" if nothing in the set matches.
         if exp.persisted.is_some() && !exp.permits(&observed) && !ctx.has_failed {
             coverage::hit("crashcheck.persistence_violation");
-            return Err(diverge(
-                i,
-                op,
-                format!(
-                    "persistence violation for key {key}: persisted {:?} bytes, observed {:?} bytes",
-                    exp.persisted.as_ref().and_then(|v| v.as_ref()).map(|v| v.len()),
-                    observed.as_ref().map(|v| v.len())
-                ),
+            return Err(format!(
+                "persistence violation for key {key}: persisted {:?} bytes, observed {:?} bytes",
+                exp.persisted.as_ref().and_then(|v| v.as_ref()).map(|v| v.len()),
+                observed.as_ref().map(|v| v.len())
             ));
         }
         if !exp.permits(&observed) {
@@ -398,17 +132,13 @@ pub(crate) fn dirty_reboot(
                 .unwrap_or(false);
             if corrupt || !ctx.has_failed {
                 coverage::hit("crashcheck.consistency_violation");
-                return Err(diverge(
-                    i,
-                    op,
-                    format!(
-                        "consistency violation for key {key}: observed {:?} bytes not in allowed set",
-                        observed.as_ref().map(|v| v.len())
-                    ),
+                return Err(format!(
+                    "consistency violation for key {key}: observed {:?} bytes not in allowed set",
+                    observed.as_ref().map(|v| v.len())
                 ));
             }
         }
     }
-    model.crash_with_observations(&observations);
+    ctx.model.crash_with_observations(&observations);
     Ok(())
 }

@@ -24,14 +24,12 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
-use shardstore_core::{Store, StoreConfig, StoreError};
-use shardstore_dependency::Dependency;
+use shardstore_core::StoreConfig;
 use shardstore_faults::FaultConfig;
-use shardstore_model::KvModel;
-use shardstore_vdisk::{CrashPlan, ExtentId, Geometry};
+use shardstore_vdisk::{ExtentId, Geometry};
 
+use crate::conformance::{check_invariants, Policy, RunCtx};
 use crate::detect::sample_sequences;
 use crate::gen::{kv_ops, GenConfig};
 use crate::ops::KvOp;
@@ -185,115 +183,48 @@ pub struct SweepReport {
     pub acks_tracked: u64,
 }
 
-/// One acknowledged-durability tracking record: a put (or delete) whose
-/// dependency we watch for the no-lost-ack property.
-struct Tracked {
-    key: u128,
-    /// Index into the key's write history; `None` for a delete.
-    hist_idx: Option<usize>,
-    dep: Dependency,
-    acked: bool,
-}
-
-struct SweepCtx {
-    store: Store,
-    model: KvModel,
-    history: BTreeMap<u128, Vec<Arc<Vec<u8>>>>,
-    tracked: Vec<Tracked>,
-    puts_so_far: Vec<u128>,
-    uncertain: std::collections::BTreeSet<u128>,
-    /// Keys deleted at or after their last acked write (a later `None`
-    /// read is then legal).
-    deleted_after_ack: std::collections::BTreeSet<u128>,
-    fault_armed: bool,
-    degraded_reads: u64,
-}
-
-impl SweepCtx {
-    fn was_written(&self, key: u128, bytes: &[u8]) -> bool {
-        self.history.get(&key).map(|h| h.iter().any(|v| ***v == *bytes)).unwrap_or(false)
-    }
-
-    fn record_write(&mut self, key: u128, value: Arc<Vec<u8>>) -> usize {
-        self.puts_so_far.push(key);
-        let h = self.history.entry(key).or_default();
-        h.push(value);
-        h.len() - 1
-    }
-
-    /// Polls every tracked dependency, promoting to acked and enforcing
-    /// the no-lost-ack property.
-    fn poll_acks(&mut self, at: usize) -> Result<(), String> {
-        let obs = self.store.obs();
-        for t in &mut self.tracked {
-            let persistent = t.dep.is_persistent();
-            if t.acked && !persistent {
-                return Err(format!(
-                    "no-lost-ack violated at op {at}: key {} was acknowledged durable and reverted",
-                    t.key
-                ));
+/// Polls every tracked dependency, promoting to acked and enforcing the
+/// no-lost-ack property.
+fn poll_acks(ctx: &mut RunCtx, at: usize) -> Result<(), String> {
+    let obs = ctx.store.obs();
+    for t in &mut ctx.acks {
+        let persistent = t.dep.is_persistent();
+        if t.acked && !persistent {
+            return Err(format!(
+                "no-lost-ack violated at op {at}: key {} was acknowledged durable and reverted",
+                t.key
+            ));
+        }
+        if persistent && !t.acked {
+            t.acked = true;
+            // Record the acknowledgement in the trace so the
+            // acked-durability trace oracle can check that every write
+            // the op announced had persisted by this point.
+            if let Some(n) = t.dep.trace_node() {
+                obs.trace().event(shardstore_obs::TraceEvent::Acked { dep: n });
             }
-            if persistent && !t.acked {
-                t.acked = true;
-                // Record the acknowledgement in the trace so the
-                // acked-durability trace oracle can check that every write
-                // the op announced had persisted by this point.
-                if let Some(n) = t.dep.trace_node() {
-                    obs.trace().event(shardstore_obs::TraceEvent::Acked { dep: n });
-                }
-                if t.hist_idx.is_none() {
-                    self.deleted_after_ack.insert(t.key);
-                }
+            if t.hist_idx.is_none() {
+                ctx.deleted_after_ack.insert(t.key);
             }
         }
-        Ok(())
     }
-
-    /// The latest acknowledged *write* per key (deletes supersede).
-    fn acked_values(&self) -> BTreeMap<u128, usize> {
-        let mut out = BTreeMap::new();
-        for t in self.tracked.iter().filter(|t| t.acked) {
-            match t.hist_idx {
-                Some(idx) => {
-                    out.insert(t.key, idx);
-                }
-                None => {
-                    out.remove(&t.key);
-                }
-            }
-        }
-        out
-    }
-
-    fn tolerate(&self, e: &StoreError) -> bool {
-        self.fault_armed && !matches!(e, StoreError::OutOfService)
-    }
-
-    /// True if the key's most recent tracked write was never acknowledged
-    /// (or the key was never written through the tracked path). Under an
-    /// armed fault such a write may legitimately vanish — its data write
-    /// can be `Lost` to a quarantine before persisting, the doomed index
-    /// entry is then filtered out of the next flush, and the client was
-    /// never told otherwise. Only *acknowledged* state carries a
-    /// durability promise, and that promise is enforced separately by
-    /// `poll_acks` (acks never revert) and `check_acked_durability`
-    /// (acked keys stay readable or fail degraded).
-    fn latest_write_unacked(&self, key: u128) -> bool {
-        match self.tracked.iter().rev().find(|t| t.key == key && t.hist_idx.is_some()) {
-            Some(t) => !t.acked,
-            None => true,
-        }
-    }
+    Ok(())
 }
 
-fn is_no_space(e: &StoreError) -> bool {
-    matches!(
-        e,
-        StoreError::Chunk(shardstore_chunk::ChunkError::NoSpace { .. })
-            | StoreError::Lsm(shardstore_lsm::LsmError::Chunk(
-                shardstore_chunk::ChunkError::NoSpace { .. }
-            ))
-    )
+/// The latest acknowledged *write* per key (deletes supersede).
+fn acked_values(ctx: &RunCtx) -> BTreeMap<u128, usize> {
+    let mut out = BTreeMap::new();
+    for t in ctx.acks.iter().filter(|t| t.acked) {
+        match t.hist_idx {
+            Some(idx) => {
+                out.insert(t.key, idx);
+            }
+            None => {
+                out.remove(&t.key);
+            }
+        }
+    }
+    out
 }
 
 /// The fault-sweep world: a store under one enumerated fault schedule,
@@ -305,7 +236,7 @@ fn is_no_space(e: &StoreError) -> bool {
 struct SweepWorld<'a> {
     ops: &'a [KvOp],
     cfg: &'a SweepConfig,
-    ctx: SweepCtx,
+    ctx: RunCtx,
     obs: shardstore_obs::Obs,
     schedule: FaultSchedule,
 }
@@ -337,16 +268,17 @@ impl shardstore_sim::World for SweepWorld<'_> {
     ) -> Result<(), SweepViolation> {
         let op = &self.ops[i];
         shardstore_faults::coverage::hit(crate::simulate::kv_probe(op));
-        let page_size = self.cfg.geometry.page_size;
-        apply_swept_op(&mut self.ctx, i, op, page_size).map_err(|d| self.violation(i, d))?;
-        self.ctx.poll_acks(i).map_err(|d| self.violation(i, d))?;
-        check_step(&self.ctx, i).map_err(|d| self.violation(i, d))
+        self.ctx
+            .step(op)
+            .and_then(|()| poll_acks(&mut self.ctx, i))
+            .and_then(|()| check_invariants(&self.ctx))
+            .map_err(|d| self.violation(i, d))
     }
 
-    fn arm_fault(&mut self, f: &shardstore_sim::FaultPoint) -> Result<(), SweepViolation> {
+    fn arm_fault(&mut self, f: &shardstore_sim::FaultPoint) -> Result<bool, SweepViolation> {
         crate::simulate::arm_store_fault(&self.ctx.store, f, self.cfg.geometry.extent_count);
-        self.ctx.fault_armed = true;
-        Ok(())
+        self.ctx.has_failed = true;
+        Ok(true)
     }
 
     fn settle(&mut self) -> Result<(), SweepViolation> {
@@ -358,8 +290,8 @@ impl shardstore_sim::World for SweepWorld<'_> {
                 break;
             }
         }
-        self.ctx.poll_acks(n).map_err(|d| self.violation(n, d))?;
-        check_acked_durability(&mut self.ctx, n).map_err(|d| self.violation(n, d))?;
+        poll_acks(&mut self.ctx, n).map_err(|d| self.violation(n, d))?;
+        check_acked_durability(&mut self.ctx).map_err(|d| self.violation(n, d))?;
         // Trace-based oracles: re-derive the causal properties from the
         // run's event log alone. A wrapped (truncated) trace cannot be
         // certified and is skipped — never treated as a pass or a failure.
@@ -407,23 +339,13 @@ pub fn run_schedule(
     cfg: &SweepConfig,
     faults: &FaultConfig,
 ) -> Result<(bool, bool, u64, u64), SweepViolation> {
-    let store = Store::format(cfg.geometry, cfg.store.clone(), faults.clone());
-    if cfg.background_writeback {
-        store.scheduler().set_writeback_mode(shardstore_dependency::WritebackMode::Background(
-            shardstore_dependency::WritebackConfig::default(),
-        ));
-    }
-    let ctx = SweepCtx {
-        store,
-        model: KvModel::new(),
-        history: BTreeMap::new(),
-        tracked: Vec::new(),
-        puts_so_far: Vec::new(),
-        uncertain: std::collections::BTreeSet::new(),
-        deleted_after_ack: std::collections::BTreeSet::new(),
-        fault_armed: false,
-        degraded_reads: 0,
-    };
+    let ctx = RunCtx::format(
+        cfg.geometry,
+        &cfg.store,
+        faults,
+        cfg.background_writeback,
+        Policy::AckPrecise,
+    );
     let obs = ctx.store.obs();
     let retries_before = ctx.store.scheduler().counter("sched.retries");
     let kind = match schedule.kind {
@@ -447,314 +369,23 @@ pub fn run_schedule(
     // quarantines: an uninteresting schedule, not a violation.
     let retried = world.ctx.store.scheduler().counter("sched.retries") > retries_before;
     let quarantined = !world.ctx.store.quarantined_extents().is_empty();
-    let acks = world.ctx.tracked.iter().filter(|t| t.acked).count() as u64;
+    let acks = world.ctx.acks.iter().filter(|t| t.acked).count() as u64;
     Ok((retried, quarantined, world.ctx.degraded_reads, acks))
-}
-
-fn apply_swept_op(
-    ctx: &mut SweepCtx,
-    i: usize,
-    op: &KvOp,
-    page_size: usize,
-) -> Result<(), String> {
-    match op {
-        KvOp::Get(kr) => {
-            let key = kr.resolve(&ctx.puts_so_far);
-            let got = ctx.store.get(key);
-            check_get(ctx, i, key, got)?;
-        }
-        KvOp::Put(kr, spec) => {
-            let key = kr.resolve(&ctx.puts_so_far);
-            let value = Arc::new(spec.materialize(key, page_size));
-            match ctx.store.put(key, &value) {
-                Ok(dep) => {
-                    ctx.model.put(key, &value);
-                    let hist_idx = ctx.record_write(key, value);
-                    ctx.deleted_after_ack.remove(&key);
-                    ctx.tracked.push(Tracked { key, hist_idx: Some(hist_idx), dep, acked: false });
-                }
-                Err(e) if is_no_space(&e) => {}
-                Err(e) if ctx.tolerate(&e) => {
-                    ctx.record_write(key, value);
-                    ctx.uncertain.insert(key);
-                }
-                Err(e) => return Err(format!("put({key}) failed without a fault: {e}")),
-            }
-        }
-        KvOp::PutBatch(elems) => {
-            let batch: Vec<(u128, Arc<Vec<u8>>)> = elems
-                .iter()
-                .map(|(kr, spec)| {
-                    let key = kr.resolve(&ctx.puts_so_far);
-                    (key, Arc::new(spec.materialize(key, page_size)))
-                })
-                .collect();
-            let arg: Vec<(u128, Vec<u8>)> = batch.iter().map(|(k, v)| (*k, v.to_vec())).collect();
-            match ctx.store.put_batch(&arg) {
-                Ok(deps) => {
-                    for ((key, value), dep) in batch.into_iter().zip(deps) {
-                        ctx.model.put(key, &value);
-                        let hist_idx = ctx.record_write(key, value);
-                        ctx.deleted_after_ack.remove(&key);
-                        ctx.tracked.push(Tracked {
-                            key,
-                            hist_idx: Some(hist_idx),
-                            dep,
-                            acked: false,
-                        });
-                    }
-                }
-                Err(e) if is_no_space(&e) => {}
-                Err(e) if ctx.tolerate(&e) => {
-                    for (key, value) in batch {
-                        ctx.record_write(key, value);
-                        ctx.uncertain.insert(key);
-                    }
-                }
-                Err(e) => return Err(format!("put_batch failed without a fault: {e}")),
-            }
-        }
-        KvOp::Delete(kr) => {
-            let key = kr.resolve(&ctx.puts_so_far);
-            match ctx.store.delete(key) {
-                Ok(dep) => {
-                    ctx.model.delete(key);
-                    ctx.tracked.push(Tracked { key, hist_idx: None, dep, acked: false });
-                }
-                Err(e) if is_no_space(&e) => {}
-                Err(e) if ctx.tolerate(&e) => {
-                    // A partially-applied delete makes later absence legal.
-                    ctx.uncertain.insert(key);
-                    ctx.deleted_after_ack.insert(key);
-                }
-                Err(e) => return Err(format!("delete({key}) failed without a fault: {e}")),
-            }
-        }
-        KvOp::Scan(a, b) => {
-            let ka = a.resolve(&ctx.puts_so_far);
-            let kb = b.resolve(&ctx.puts_so_far);
-            let (start, end) = (ka.min(kb), ka.max(kb));
-            match ctx.store.scan(start, end) {
-                Ok(entries) => {
-                    // Without a fault armed the scan must be exactly the
-                    // model's range; with one, missing keys fall under the
-                    // per-key relaxations below.
-                    if !ctx.fault_armed {
-                        let got: Vec<u128> = entries.iter().map(|(k, _)| *k).collect();
-                        let exp: Vec<u128> =
-                            ctx.model.scan(start, end).iter().map(|(k, _)| *k).collect();
-                        if got != exp {
-                            return Err(format!(
-                                "scan key sets diverge: impl {got:?} vs model {exp:?}"
-                            ));
-                        }
-                    }
-                    // Each returned entry must be a readable key's current
-                    // or once-written value — reuse the point-get check.
-                    for (key, value) in entries {
-                        check_get(ctx, i, key, Ok(Some(value.to_vec())))?;
-                    }
-                }
-                Err(e) => {
-                    if e.is_degraded() {
-                        // Degraded mode: the scan crossed a quarantined
-                        // extent and honestly refused (§4.4) — it must
-                        // error rather than silently skip the key.
-                        ctx.degraded_reads += 1;
-                    } else if !ctx.fault_armed {
-                        return Err(format!("scan failed without a fault: {e}"));
-                    }
-                }
-            }
-        }
-        KvOp::IndexFlush => background_op(ctx, "flush", |c| c.store.flush_index())?,
-        KvOp::Compact => background_op(ctx, "compact", |c| c.store.compact_index())?,
-        KvOp::Reclaim(stream) => {
-            let stream = *stream;
-            background_op(ctx, "reclaim", |c| c.store.reclaim(stream).map(|_| ()))?
-        }
-        KvOp::CacheDrop => ctx.store.drop_caches(),
-        KvOp::Pump(n) => {
-            let sched = ctx.store.scheduler();
-            let r = sched.issue_ready(*n as usize).and_then(|_| sched.flush_issued());
-            if let Err(e) = r {
-                if !ctx.fault_armed {
-                    return Err(format!("pump failed without a fault: {e}"));
-                }
-                mark_all_uncertain(ctx);
-            }
-            // Pumping may have surfaced a permanent fault; let the store
-            // quarantine and evacuate.
-            let _ = ctx.store.evacuate_pending();
-        }
-        KvOp::Reboot => {
-            // On a no-space shutdown the memtable's keys — and only
-            // those — may roll back across the reboot (§4.4 resource
-            // exhaustion). Capture them so the model can be reconciled
-            // to the surviving state; never-wrong-data stays enforced.
-            let mut lost_unflushed: Vec<u128> = Vec::new();
-            if let Err(e) = ctx.store.clean_shutdown() {
-                if !ctx.tolerate(&e) && !is_no_space(&e) {
-                    return Err(format!("clean shutdown failed without a fault: {e}"));
-                }
-                lost_unflushed = ctx.store.unflushed_keys();
-                mark_all_uncertain(ctx);
-            }
-            match ctx.store.dirty_reboot(&CrashPlan::LoseAll) {
-                Ok(recovered) => ctx.store = recovered,
-                Err(e) => {
-                    if !ctx.fault_armed {
-                        return Err(format!("recovery failed without a fault: {e}"));
-                    }
-                    // Recovery blocked by the injected fault (a dead node
-                    // would be re-replicated from other hosts). Clear the
-                    // fault and retry so the sequence can continue; the
-                    // relaxation stays active.
-                    ctx.store.scheduler().disk().clear_failures();
-                    mark_all_uncertain(ctx);
-                    ctx.store = ctx
-                        .store
-                        .dirty_reboot(&CrashPlan::LoseAll)
-                        .map_err(|e| format!("recovery failed twice: {e}"))?;
-                }
-            }
-            for key in lost_unflushed {
-                match ctx.store.get(key) {
-                    Ok(Some(v)) => {
-                        if ctx.model.get(key).map(|e| **e == *v).unwrap_or(false) {
-                            continue;
-                        }
-                        if !ctx.was_written(key, &v) {
-                            return Err(format!(
-                                "key {key} returned bytes never written after a no-space \
-                                 shutdown"
-                            ));
-                        }
-                        ctx.model.put(key, &v);
-                    }
-                    Ok(None) => {
-                        ctx.model.delete(key);
-                    }
-                    Err(_) if ctx.fault_armed => {}
-                    Err(e) => {
-                        return Err(format!(
-                            "get({key}) failed after a no-space shutdown: {e}"
-                        ));
-                    }
-                }
-            }
-        }
-        KvOp::DirtyReboot(_) | KvOp::FailDiskOnce(_) => {
-            // Not part of the sweep alphabet (faults come from the
-            // schedule); treated as no-ops so alphabets can be shared.
-        }
-    }
-    Ok(())
-}
-
-fn background_op(
-    ctx: &mut SweepCtx,
-    what: &str,
-    f: impl FnOnce(&mut SweepCtx) -> Result<(), StoreError>,
-) -> Result<(), String> {
-    if let Err(e) = f(ctx) {
-        if !ctx.tolerate(&e) && !is_no_space(&e) {
-            return Err(format!("{what} failed without a fault: {e}"));
-        }
-        mark_all_uncertain(ctx);
-    }
-    Ok(())
-}
-
-fn mark_all_uncertain(ctx: &mut SweepCtx) {
-    let model_keys = ctx.model.list();
-    ctx.uncertain.extend(model_keys);
-    if let Ok(keys) = ctx.store.list() {
-        ctx.uncertain.extend(keys);
-    }
-    let hist_keys: Vec<u128> = ctx.history.keys().copied().collect();
-    ctx.uncertain.extend(hist_keys);
-}
-
-fn check_get(
-    ctx: &mut SweepCtx,
-    _i: usize,
-    key: u128,
-    got: Result<Option<Vec<u8>>, StoreError>,
-) -> Result<(), String> {
-    let expected = ctx.model.get(key);
-    let uncertain = ctx.uncertain.contains(&key);
-    match (got, expected, ctx.fault_armed) {
-        (Ok(None), None, _) => Ok(()),
-        (Ok(Some(g)), Some(e), _) if *g == **e => Ok(()),
-        (Err(e), _, true) => {
-            if e.is_degraded() {
-                ctx.degraded_reads += 1;
-            }
-            Ok(())
-        }
-        (Ok(None), Some(_), true) if uncertain || ctx.latest_write_unacked(key) => Ok(()),
-        (Ok(Some(g)), _, true)
-            if (uncertain || ctx.latest_write_unacked(key)) && ctx.was_written(key, &g) =>
-        {
-            Ok(())
-        }
-        (Ok(Some(g)), Some(e), _) => Err(format!(
-            "get({key}) returned {} bytes, model has {} bytes",
-            g.len(),
-            e.len()
-        )),
-        (Ok(Some(_)), None, _) => Err(format!("get({key}) returned data for an absent key")),
-        (Ok(None), Some(_), _) => Err(format!("get({key}) lost data the model still has")),
-        (Err(e), _, false) => Err(format!("get({key}) failed without a fault: {e}")),
-    }
-}
-
-/// Per-step relaxed conformance check (the §4.4 invariant): untouched
-/// keys are never silently lost, and nothing readable was never written.
-fn check_step(ctx: &SweepCtx, _i: usize) -> Result<(), String> {
-    let impl_keys = match ctx.store.list() {
-        Ok(k) => k,
-        Err(_) if ctx.fault_armed => return Ok(()),
-        Err(e) => return Err(format!("list failed without a fault: {e}")),
-    };
-    let model_keys = ctx.model.list();
-    if !ctx.fault_armed {
-        if impl_keys != model_keys {
-            return Err(format!(
-                "key sets diverge: impl {impl_keys:?} vs model {model_keys:?}"
-            ));
-        }
-        return Ok(());
-    }
-    for key in model_keys.iter().filter(|k| !ctx.uncertain.contains(k)) {
-        if !impl_keys.contains(key) && !ctx.latest_write_unacked(*key) {
-            return Err(format!("acked key {key} lost although no operation on it failed"));
-        }
-    }
-    for key in &impl_keys {
-        if let Ok(Some(got)) = ctx.store.get(*key) {
-            if !ctx.was_written(*key, &got) {
-                return Err(format!("key {key} returned bytes that were never written"));
-            }
-        }
-    }
-    Ok(())
 }
 
 /// The durability-under-quarantine property, checked after the sequence
 /// settles: every key with an acknowledged write reads back as its acked
 /// value or a later-written one, or fails *degraded* — never `None`
 /// (unless deleted after the ack), and never unwritten bytes.
-fn check_acked_durability(ctx: &mut SweepCtx, _at: usize) -> Result<(), String> {
-    let acked = ctx.acked_values();
+fn check_acked_durability(ctx: &mut RunCtx) -> Result<(), String> {
+    let acked = acked_values(ctx);
     for (key, acked_idx) in acked {
         if ctx.deleted_after_ack.contains(&key) {
             continue;
         }
         // A later (possibly unacked) delete makes absence legal; only
         // keys the model still holds carry the strict obligation.
-        if ctx.model.get(key).is_none() {
+        if ctx.model.current(key).is_none() {
             continue;
         }
         // Tolerate leftover transient counts: retry the read a couple of

@@ -6,8 +6,20 @@
 //!   strategies (§4.1, §4.2);
 //! - [`conformance`] — sequential crash-free refinement checking against
 //!   the reference model, with the §4.4 failure-injection relaxation;
+//!   home of the one `KvOp` interpreter every store-level checker shares;
 //! - [`crash`] — crash-consistency checking (persistence + forward
 //!   progress, coarse and block-level crash states, §5);
+//! - [`fault_sweep`] — deterministic sweeps over enumerated fault
+//!   schedules, with acknowledged-durability and trace oracles (§4.4);
+//! - [`index_conformance`] — the Fig. 3 `IndexOp` harness: the LSM index
+//!   alone against the index model;
+//! - [`node_conformance`] — the multi-disk control plane against the KV
+//!   model; home of the one `NodeOp` checker;
+//! - [`node_rpc`] — linearizability of the node API through the request
+//!   engine, under the stateless model checker (§6);
+//! - [`simulate`] — the checkers as worlds of the deterministic
+//!   simulator (schedules of faults, crashes, ticks, drops and delays);
+//! - [`swarm`] — batches of simulator seeds with auto-minimization;
 //! - [`lin`] — a linearizability checker for concurrent histories against
 //!   a sequential specification (§6);
 //! - [`concurrent`] — stateless-model-checking harnesses for the
@@ -31,20 +43,5 @@ pub mod ops;
 pub mod simulate;
 pub mod swarm;
 
-use shardstore_core::StoreError;
-
 pub use conformance::{run_conformance, ConformanceConfig, Divergence, RunReport};
 pub use crash::run_crash_consistency;
-
-/// True for errors caused by genuine disk-space exhaustion, which the
-/// runners skip rather than flag (§4.4: no oracle for resource
-/// exhaustion).
-pub(crate) fn conformance_no_space(e: &StoreError) -> bool {
-    matches!(
-        e,
-        StoreError::Chunk(shardstore_chunk::ChunkError::NoSpace { .. })
-            | StoreError::Lsm(shardstore_lsm::LsmError::Chunk(
-                shardstore_chunk::ChunkError::NoSpace { .. }
-            ))
-    )
-}

@@ -1,4 +1,4 @@
-//! Deterministic whole-system simulation (the VOPR, ISSUE 8's tentpole).
+//! Deterministic whole-system simulation (a VOPR-style event loop).
 //!
 //! This module binds the [`shardstore_sim`] substrate — one seeded event
 //! loop owning logical time and a unified queue of timer ticks, message
@@ -6,13 +6,14 @@
 //! concrete harness runners. Each *world* wraps one system under test
 //! plus its reference model:
 //!
-//! - [`run_conformance_sim`] — a [`shardstore_core::Store`] against
-//!   [`KvModel`] (§4, the crash-free refinement);
-//! - [`run_crash_sim`] — a store against [`CrashAwareKvModel`] (§5), the
-//!   only world that honors crash-restart schedule points;
+//! - [`run_conformance_sim`] — a [`shardstore_core::Store`] against the
+//!   reference model under the strict policy (§4, the crash-free
+//!   refinement);
+//! - [`run_crash_sim`] — the same interpreter under the crash policy
+//!   (§5), the only world that honors crash-restart schedule points;
 //! - [`run_node_sim_on`] — a multi-disk [`Node`] control plane against
-//!   [`KvModel`];
-//! - [`run_rpc_sim`] — the same control-plane alphabet driven through
+//!   the KV model, requests dispatched directly;
+//! - [`run_rpc_sim`] — the same control-plane checker driven through
 //!   the request plane: a manual-mode [`Engine`] whose executors only
 //!   make progress when the event loop delivers, with every request
 //!   round-tripped through the wire codec.
@@ -27,20 +28,17 @@
 //! point.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
-use shardstore_core::rpc::{ErrorCode, Request, Response};
+use shardstore_core::rpc::{Request, Response};
 use shardstore_core::{Engine, EngineConfig, Node, RpcClient, Store};
 use shardstore_faults::coverage;
-use shardstore_model::{CrashAwareKvModel, KvModel};
 use shardstore_sim::{CrashPoint, SimCtx, SimReport, SimSchedule, Simulator, World};
 use shardstore_vdisk::ExtentId;
 
 use crate::conformance::{
-    apply_op, check_invariants, ConformanceConfig, Divergence, RunCtx, RunReport,
+    check_invariants, ConformanceConfig, Divergence, Policy, RunCtx, RunReport,
 };
-use crate::crash::{crash_step, dirty_reboot};
-use crate::node_conformance::{node_step, NodeRunState};
+use crate::node_conformance::{with_node_timeline, NodeChecker, NodeTransport};
 use crate::ops::{KvOp, NodeOp, RebootType};
 
 /// Per-run options orthogonal to the schedule.
@@ -212,19 +210,35 @@ fn node_fingerprint(node: &Node) -> String {
 // Store worlds (KV alphabet)
 // ---------------------------------------------------------------------------
 
-/// The crash-free conformance world: [`apply_op`] + [`check_invariants`]
-/// per delivery. Crash-restart points are ignored ([`KvModel`] is not
-/// crash-aware); disk-fault points engage the §4.4 relaxation exactly
-/// like an in-alphabet `FailDiskOnce`.
-struct ConformanceWorld<'a> {
+/// A store world: [`RunCtx::step`] per delivery under the world's oracle
+/// policy. The conformance world ([`Policy::Strict`]) also checks the
+/// §4.1 invariant after each delivery and ignores crash-restart points
+/// (its model is not consulted for persistence); the crash world
+/// ([`Policy::Crash`]) honors them as real whole-node crash-restarts (a
+/// dirty reboot with the point's block-survival mask, checked by the §5
+/// persistence property). Disk-fault points engage the §4.4 relaxation
+/// exactly like an in-alphabet `FailDiskOnce`.
+struct KvWorld<'a> {
     ops: &'a [KvOp],
-    cfg: &'a ConformanceConfig,
     ctx: RunCtx,
-    model: KvModel,
     net: NetPlan,
 }
 
-impl World for ConformanceWorld<'_> {
+impl KvWorld<'_> {
+    /// The conformance world attaches the trace timeline; the crash
+    /// world's messages stay timeline-free, because simulator
+    /// minimization compares whole messages by failure class.
+    fn diverge(&self, i: usize, op: &KvOp, detail: String) -> Divergence {
+        let d = Divergence::new(i, op, detail);
+        if self.ctx.policy == Policy::Strict {
+            d.with_timeline(&self.ctx.store)
+        } else {
+            d
+        }
+    }
+}
+
+impl World for KvWorld<'_> {
     type Error = Divergence;
 
     fn apply(&mut self, ctx: &mut SimCtx<'_>, i: usize) -> Result<(), Divergence> {
@@ -235,25 +249,53 @@ impl World for ConformanceWorld<'_> {
     fn deliver(&mut self, _ctx: &mut SimCtx<'_>, m: usize) -> Result<(), Divergence> {
         let op = &self.ops[m];
         coverage::hit(kv_probe(op));
-        let page_size = self.cfg.geometry.page_size;
-        apply_op(&mut self.ctx, &mut self.model, m, op, page_size, self.cfg)
-            .and_then(|()| check_invariants(&self.ctx, &self.model, m, op))
-            .map_err(|d| d.with_timeline(&self.ctx.store))
+        let mut res = self.ctx.step(op);
+        if self.ctx.policy == Policy::Strict {
+            res = res.and_then(|()| check_invariants(&self.ctx));
+        }
+        res.map_err(|d| self.diverge(m, op, d))
     }
 
     fn tick(&mut self, _ctx: &mut SimCtx<'_>) -> Result<(), Divergence> {
         // A timer tick pumps background IO, exactly like an in-alphabet
         // pump at a synthetic index past the sequence.
-        let page_size = self.cfg.geometry.page_size;
-        apply_op(&mut self.ctx, &mut self.model, self.ops.len(), &KvOp::Pump(4), page_size, self.cfg)
-            .map_err(|d| d.with_timeline(&self.ctx.store))
+        let op = KvOp::Pump(4);
+        self.ctx.step(&op).map_err(|d| self.diverge(self.ops.len(), &op, d))
     }
 
-    fn arm_fault(&mut self, f: &shardstore_sim::FaultPoint) -> Result<(), Divergence> {
-        arm_store_fault(&self.ctx.store, f, self.cfg.geometry.extent_count);
+    fn arm_fault(&mut self, f: &shardstore_sim::FaultPoint) -> Result<bool, Divergence> {
+        arm_store_fault(&self.ctx.store, f, self.ctx.geometry.extent_count);
         self.ctx.has_failed = true;
-        Ok(())
+        Ok(true)
     }
+
+    fn crash_restart(&mut self, c: &CrashPoint) -> Result<bool, Divergence> {
+        if self.ctx.policy != Policy::Crash {
+            return Ok(false);
+        }
+        let rt = RebootType { flush_index: false, issue_ios: 0, keep_mask: c.keep_mask };
+        crate::crash::dirty_reboot(&mut self.ctx, &rt)
+            .map_err(|d| self.diverge(c.at_op, &KvOp::DirtyReboot(rt), d))?;
+        Ok(true)
+    }
+}
+
+fn run_kv_sim(
+    ops: &[KvOp],
+    cfg: &ConformanceConfig,
+    schedule: &SimSchedule,
+    opts: &SimOptions,
+    policy: Policy,
+) -> Result<SimOutcome, Divergence> {
+    let mut world = KvWorld { ops, ctx: RunCtx::new(cfg, policy), net: NetPlan::new(schedule) };
+    let sim = Simulator::run(&mut world, ops.len(), schedule)?;
+    let store = &world.ctx.store;
+    Ok(SimOutcome {
+        report: world.ctx.report(ops.len()),
+        sim,
+        fingerprint: opts.fingerprint.then(|| store_fingerprint(store)),
+        metrics: store.obs().snapshot(),
+    })
 }
 
 /// Runs the crash-free conformance checker under the simulator.
@@ -263,69 +305,7 @@ pub fn run_conformance_sim(
     schedule: &SimSchedule,
     opts: &SimOptions,
 ) -> Result<SimOutcome, Divergence> {
-    let mut world = ConformanceWorld {
-        ops,
-        cfg,
-        ctx: RunCtx::new(cfg),
-        model: KvModel::new(),
-        net: NetPlan::new(schedule),
-    };
-    let sim = Simulator::run(&mut world, ops.len(), schedule)?;
-    let fingerprint = opts.fingerprint.then(|| store_fingerprint(&world.ctx.store));
-    Ok(SimOutcome {
-        report: RunReport {
-            ops: ops.len(),
-            skipped_no_space: world.ctx.skipped_no_space,
-            has_failed: world.ctx.has_failed,
-        },
-        sim,
-        fingerprint,
-        metrics: world.ctx.store.obs().snapshot(),
-    })
-}
-
-/// The crash-consistency world: [`crash_step`] per delivery, plus real
-/// whole-node crash-restarts at the schedule's crash points (a dirty
-/// reboot with the point's block-survival mask, checked by the §5
-/// persistence property).
-struct CrashWorld<'a> {
-    ops: &'a [KvOp],
-    cfg: &'a ConformanceConfig,
-    ctx: RunCtx,
-    model: CrashAwareKvModel,
-    net: NetPlan,
-}
-
-impl World for CrashWorld<'_> {
-    type Error = Divergence;
-
-    fn apply(&mut self, ctx: &mut SimCtx<'_>, i: usize) -> Result<(), Divergence> {
-        self.net.send(ctx, i);
-        Ok(())
-    }
-
-    fn deliver(&mut self, _ctx: &mut SimCtx<'_>, m: usize) -> Result<(), Divergence> {
-        let op = &self.ops[m];
-        coverage::hit(kv_probe(op));
-        crash_step(&mut self.ctx, &mut self.model, m, op, self.cfg)
-    }
-
-    fn tick(&mut self, _ctx: &mut SimCtx<'_>) -> Result<(), Divergence> {
-        crash_step(&mut self.ctx, &mut self.model, self.ops.len(), &KvOp::Pump(4), self.cfg)
-    }
-
-    fn arm_fault(&mut self, f: &shardstore_sim::FaultPoint) -> Result<(), Divergence> {
-        arm_store_fault(&self.ctx.store, f, self.cfg.geometry.extent_count);
-        self.ctx.has_failed = true;
-        Ok(())
-    }
-
-    fn crash_restart(&mut self, c: &CrashPoint) -> Result<(), Divergence> {
-        let rt =
-            RebootType { flush_index: false, issue_ios: 0, keep_mask: c.keep_mask };
-        let op = KvOp::DirtyReboot(rt);
-        dirty_reboot(&mut self.ctx, &mut self.model, c.at_op, &op, &rt)
-    }
+    run_kv_sim(ops, cfg, schedule, opts, Policy::Strict)
 }
 
 /// Runs the crash-consistency checker under the simulator.
@@ -335,40 +315,45 @@ pub fn run_crash_sim(
     schedule: &SimSchedule,
     opts: &SimOptions,
 ) -> Result<SimOutcome, Divergence> {
-    let mut world = CrashWorld {
-        ops,
-        cfg,
-        ctx: RunCtx::new(cfg),
-        model: CrashAwareKvModel::new(cfg.faults.clone()),
-        net: NetPlan::new(schedule),
-    };
-    let sim = Simulator::run(&mut world, ops.len(), schedule)?;
-    let fingerprint = opts.fingerprint.then(|| store_fingerprint(&world.ctx.store));
-    Ok(SimOutcome {
-        report: RunReport {
-            ops: ops.len(),
-            skipped_no_space: world.ctx.skipped_no_space,
-            has_failed: world.ctx.has_failed,
-        },
-        sim,
-        fingerprint,
-        metrics: world.ctx.store.obs().snapshot(),
-    })
+    run_kv_sim(ops, cfg, schedule, opts, Policy::Crash)
 }
 
 // ---------------------------------------------------------------------------
 // Node worlds (control-plane alphabet)
 // ---------------------------------------------------------------------------
 
-/// The control-plane conformance world: [`node_step`] per delivery.
-/// Fault and crash points are ignored — the node checker's oracles are
-/// not failure-relaxed, so arming faults would flag honest unavailability
-/// as divergence. Network perturbations (drop/delay/reorder) apply.
+/// Tolerantly pumps every in-service disk's IO scheduler (a node-world
+/// timer tick; errors surface through the per-op oracles, not here).
+fn pump_node(node: &Node) {
+    for d in 0..node.disk_count() {
+        if let Some(store) = node.store(d) {
+            let sched = store.scheduler();
+            let _ = sched.issue_ready(4).and_then(|_| sched.flush_issued());
+        }
+    }
+}
+
+/// Direct transport: each request runs in the caller through
+/// [`shardstore_core::rpc::dispatch`].
+impl NodeTransport for &Node {
+    fn node(&self) -> &Node {
+        self
+    }
+
+    fn call(&self, request: Request) -> Result<Response, String> {
+        Ok(shardstore_core::rpc::dispatch(self, request))
+    }
+}
+
+/// The control-plane conformance world: [`NodeChecker::step`] per
+/// delivery over direct dispatch. Fault and crash points are ignored —
+/// the node checker's oracles are not failure-relaxed, so arming faults
+/// would flag honest unavailability as divergence. Network perturbations
+/// (drop/delay/reorder) apply.
 struct NodeWorld<'a> {
     ops: &'a [NodeOp],
-    cfg: &'a ConformanceConfig,
     node: &'a Node,
-    st: NodeRunState,
+    checker: NodeChecker,
     net: NetPlan,
 }
 
@@ -383,23 +368,12 @@ impl World for NodeWorld<'_> {
     fn deliver(&mut self, _ctx: &mut SimCtx<'_>, m: usize) -> Result<(), Divergence> {
         let op = &self.ops[m];
         coverage::hit(node_probe(op));
-        node_step(&mut self.st, self.node, self.cfg, m, op)
+        self.checker.step(&self.node, m, op)
     }
 
     fn tick(&mut self, _ctx: &mut SimCtx<'_>) -> Result<(), Divergence> {
         pump_node(self.node);
         Ok(())
-    }
-}
-
-/// Tolerantly pumps every in-service disk's IO scheduler (a node-world
-/// timer tick; errors surface through the per-op oracles, not here).
-fn pump_node(node: &Node) {
-    for d in 0..node.disk_count() {
-        if let Some(store) = node.store(d) {
-            let sched = store.scheduler();
-            let _ = sched.issue_ready(4).and_then(|_| sched.flush_issued());
-        }
     }
 }
 
@@ -427,6 +401,21 @@ pub fn run_node_sim(
     run_node_sim_on(ops, cfg, &node, schedule, opts)
 }
 
+fn node_outcome(
+    node: &Node,
+    checker: &NodeChecker,
+    ops: usize,
+    sim: SimReport,
+    opts: &SimOptions,
+) -> SimOutcome {
+    SimOutcome {
+        report: RunReport { ops, skipped_no_space: checker.skipped, has_failed: false },
+        sim,
+        fingerprint: opts.fingerprint.then(|| node_fingerprint(node)),
+        metrics: node_metrics(node),
+    }
+}
+
 /// Runs the control-plane conformance checker under the simulator
 /// against a caller-provided node.
 pub fn run_node_sim_on(
@@ -436,65 +425,30 @@ pub fn run_node_sim_on(
     schedule: &SimSchedule,
     opts: &SimOptions,
 ) -> Result<SimOutcome, Divergence> {
-    let mut world = NodeWorld {
-        ops,
-        cfg,
-        node,
-        st: NodeRunState::new(node),
-        net: NetPlan::new(schedule),
-    };
+    let mut world =
+        NodeWorld { ops, node, checker: NodeChecker::new(node, cfg), net: NetPlan::new(schedule) };
     let sim = Simulator::run(&mut world, ops.len(), schedule)?;
-    let fingerprint = opts.fingerprint.then(|| node_fingerprint(node));
-    Ok(SimOutcome {
-        report: RunReport {
-            ops: ops.len(),
-            skipped_no_space: world.st.skipped,
-            has_failed: false,
-        },
-        sim,
-        fingerprint,
-        metrics: node_metrics(node),
-    })
+    Ok(node_outcome(node, &world.checker, ops.len(), sim, opts))
 }
 
 // ---------------------------------------------------------------------------
 // RPC world (request plane under simulated time)
 // ---------------------------------------------------------------------------
 
-/// The request-plane world: the node-alphabet drives a manual-mode
-/// [`Engine`] whose per-disk executors only make progress when the event
-/// loop says so. Every request round-trips through the wire codec, and
-/// responses are checked against [`KvModel`] with the same disk-removal
-/// relaxations as [`node_step`]. Fault and crash points are ignored for
-/// the same reason as [`NodeWorld`].
-struct RpcWorld<'a> {
-    ops: &'a [NodeOp],
-    cfg: &'a ConformanceConfig,
+/// Wire transport: every request round-trips through the codec (encode,
+/// decode — the codec must be canonical — re-encode) and a manual-mode
+/// [`Engine`] whose per-disk executors only make progress when drained.
+struct WireTransport {
     engine: Engine,
     client: RpcClient,
-    st: NodeRunState,
-    net: NetPlan,
 }
 
-fn rpc_diverge(op_index: usize, op: &NodeOp, detail: impl Into<String>) -> Divergence {
-    Divergence {
-        op_index,
-        op: format!("{op:?}"),
-        detail: detail.into(),
-        timeline: String::new(),
-        dropped_events: 0,
-    }
-}
-
-impl RpcWorld<'_> {
+impl NodeTransport for WireTransport {
     fn node(&self) -> &Node {
         self.engine.node()
     }
 
-    /// Issues one request through the wire codec and the manual engine:
-    /// encode, decode (the codec must be canonical), submit, drain the
-    /// executors, and collect the reply.
-    fn rpc(&self, request: Request) -> Result<Response, String> {
+    fn call(&self, request: Request) -> Result<Response, String> {
         let frame = request.encode();
         let decoded =
             Request::decode(&frame).map_err(|e| format!("wire roundtrip failed: {e}"))?;
@@ -505,36 +459,18 @@ impl RpcWorld<'_> {
         self.engine.drain();
         reply.poll().ok_or_else(|| "no response after engine drain".to_string())
     }
+}
 
-    fn rpc_at(&self, i: usize, op: &NodeOp, request: Request) -> Result<Response, Divergence> {
-        self.rpc(request).map_err(|detail| rpc_diverge(i, op, detail))
-    }
-
-    /// Attaches the per-disk causal timelines of the most recent request
-    /// on each disk, so a minimized request-plane repro shows the failing
-    /// request's admission→IO→ack (or failure) path.
-    fn with_node_timeline(&self, mut d: Divergence) -> Divergence {
-        let mut out = String::new();
-        for disk in 0..self.node().disk_count() {
-            if let Some(obs) = self.node().disk_obs(disk) {
-                let trace = obs.trace();
-                let records = trace.snapshot();
-                let dropped = trace.dropped();
-                d.dropped_events = d.dropped_events.max(dropped);
-                let causal =
-                    shardstore_obs::oracle::render_last_req_timeline(&records, dropped);
-                if !causal.is_empty() {
-                    out.push_str(&format!(
-                        "=== disk {disk}: causal timeline (last request) ===\n{causal}"
-                    ));
-                }
-            }
-        }
-        if !out.is_empty() {
-            d.timeline = out;
-        }
-        d
-    }
+/// The request-plane world: the node alphabet drives a manual-mode
+/// [`Engine`] whose per-disk executors only make progress when the event
+/// loop says so, checked by the same [`NodeChecker`] as [`NodeWorld`].
+/// Fault and crash points are ignored for the same reason as
+/// [`NodeWorld`].
+struct RpcWorld<'a> {
+    ops: &'a [NodeOp],
+    wire: WireTransport,
+    checker: NodeChecker,
+    net: NetPlan,
 }
 
 impl World for RpcWorld<'_> {
@@ -548,281 +484,22 @@ impl World for RpcWorld<'_> {
     fn deliver(&mut self, _ctx: &mut SimCtx<'_>, m: usize) -> Result<(), Divergence> {
         let op = &self.ops[m];
         coverage::hit(node_probe(op));
-        self.deliver_op(m, op).map_err(|d| self.with_node_timeline(d))?;
-        // Catalog/index consistency is an always-on invariant, exactly as
-        // in the direct control-plane world.
-        if let Err(detail) = self.node().check_catalog_consistent() {
-            return Err(self.with_node_timeline(rpc_diverge(m, op, detail)));
-        }
-        Ok(())
+        self.checker.step(&self.wire, m, op)
     }
 
     fn tick(&mut self, _ctx: &mut SimCtx<'_>) -> Result<(), Divergence> {
-        self.engine.drain();
-        pump_node(self.node());
+        self.wire.engine.drain();
+        pump_node(self.wire.node());
         Ok(())
     }
 
     fn settle(&mut self) -> Result<(), Divergence> {
-        self.engine.drain();
-        self.engine.shutdown();
-        self.node()
-            .check_catalog_consistent()
-            .map_err(|detail| {
-                self.with_node_timeline(Divergence {
-                    op_index: self.ops.len(),
-                    op: "settle".to_string(),
-                    detail,
-                    timeline: String::new(),
-                    dropped_events: 0,
-                })
-            })
-    }
-}
-
-impl RpcWorld<'_> {
-    #[allow(clippy::too_many_lines)]
-    fn deliver_op(&mut self, i: usize, op: &NodeOp) -> Result<(), Divergence> {
-        let page_size = self.cfg.geometry.page_size;
-        match op {
-            NodeOp::Get(kr) => {
-                let key = kr.resolve(&self.st.puts_so_far);
-                let disk = self.node().route(key);
-                match self.rpc_at(i, op, Request::Get { shard: key })? {
-                    Response::Error(e)
-                        if e.code == ErrorCode::OutOfService && self.st.removed[disk] => {}
-                    Response::Error(e) if e.code == ErrorCode::NoSpace => {}
-                    Response::Error(e) => {
-                        return Err(rpc_diverge(i, op, format!("get failed: {e}")));
-                    }
-                    resp @ (Response::Data(_) | Response::NotFound) => {
-                        if self.st.removed[disk] {
-                            return Err(rpc_diverge(i, op, "get served from a removed disk"));
-                        }
-                        let got = match resp {
-                            Response::Data(v) => Some(v.to_vec()),
-                            _ => None,
-                        };
-                        let expected = self.st.model.get(key);
-                        let ok = match (&got, &expected) {
-                            (None, None) => true,
-                            (Some(g), Some(e)) => *g == ***e,
-                            _ => false,
-                        };
-                        if !ok {
-                            return Err(rpc_diverge(
-                                i,
-                                op,
-                                format!(
-                                    "get({key}) mismatch: impl {:?} vs model {:?} bytes",
-                                    got.map(|v| v.len()),
-                                    expected.map(|v| v.len())
-                                ),
-                            ));
-                        }
-                    }
-                    other => {
-                        return Err(rpc_diverge(i, op, format!("unexpected response {other:?}")));
-                    }
-                }
-            }
-            NodeOp::Put(kr, spec) => {
-                let key = kr.resolve(&self.st.puts_so_far);
-                let disk = self.node().route(key);
-                let value = Arc::new(spec.materialize(key, page_size));
-                match self.rpc_at(i, op, Request::Put { shard: key, data: value.to_vec() })? {
-                    Response::Ok => {
-                        if self.st.removed[disk] {
-                            return Err(rpc_diverge(i, op, "put accepted by a removed disk"));
-                        }
-                        self.st.model.put(key, &value);
-                        self.st.puts_so_far.push(key);
-                    }
-                    Response::Error(e)
-                        if e.code == ErrorCode::OutOfService && self.st.removed[disk] => {}
-                    Response::Error(e) if e.code == ErrorCode::NoSpace => self.st.skipped += 1,
-                    other => {
-                        return Err(rpc_diverge(i, op, format!("put failed: {other:?}")));
-                    }
-                }
-            }
-            NodeOp::Delete(kr) => {
-                let key = kr.resolve(&self.st.puts_so_far);
-                let disk = self.node().route(key);
-                match self.rpc_at(i, op, Request::Delete { shard: key })? {
-                    Response::Ok => {
-                        self.st.model.delete(key);
-                    }
-                    Response::Error(e)
-                        if e.code == ErrorCode::OutOfService && self.st.removed[disk] => {}
-                    Response::Error(e) if e.code == ErrorCode::NoSpace => self.st.skipped += 1,
-                    other => {
-                        return Err(rpc_diverge(i, op, format!("delete failed: {other:?}")));
-                    }
-                }
-            }
-            NodeOp::List => {
-                let listed = match self.rpc_at(i, op, Request::List)? {
-                    Response::Shards(shards) => shards,
-                    other => {
-                        return Err(rpc_diverge(i, op, format!("list failed: {other:?}")));
-                    }
-                };
-                for key in &listed {
-                    if self.st.model.get(*key).is_none() {
-                        return Err(rpc_diverge(i, op, format!("listed phantom shard {key}")));
-                    }
-                }
-                for key in self.st.model.list() {
-                    if !self.st.removed[self.node().route(key)] && !listed.contains(&key) {
-                        return Err(rpc_diverge(i, op, format!("listing missed shard {key}")));
-                    }
-                }
-            }
-            NodeOp::RemoveDisk(d) => {
-                let disk = *d as usize % self.node().disk_count();
-                match self.rpc_at(i, op, Request::RemoveDisk { disk: disk as u32 })? {
-                    Response::Ok => self.st.removed[disk] = true,
-                    Response::Error(e)
-                        if e.code == ErrorCode::OutOfService && self.st.removed[disk] => {}
-                    Response::Error(e) if e.code == ErrorCode::NoSpace => self.st.skipped += 1,
-                    other => {
-                        return Err(rpc_diverge(i, op, format!("remove_disk failed: {other:?}")));
-                    }
-                }
-            }
-            NodeOp::ReturnDisk(d) => {
-                let disk = *d as usize % self.node().disk_count();
-                match self.rpc_at(i, op, Request::ReturnDisk { disk: disk as u32 })? {
-                    Response::Ok => {
-                        self.st.removed[disk] = false;
-                        // Disk-return durability, checked through the
-                        // request plane: every model shard on this disk is
-                        // served again with its data intact.
-                        for key in self.st.model.list() {
-                            if self.node().route(key) != disk {
-                                continue;
-                            }
-                            let expected =
-                                self.st.model.get(key).expect("listed key").clone();
-                            match self.rpc_at(i, op, Request::Get { shard: key })? {
-                                Response::Data(got) if got.to_vec() == **expected => {}
-                                other => {
-                                    return Err(rpc_diverge(
-                                        i,
-                                        op,
-                                        format!(
-                                            "shard {key} lost across disk removal/return: {other:?}"
-                                        ),
-                                    ));
-                                }
-                            }
-                        }
-                    }
-                    Response::Error(e) if e.code == ErrorCode::NoSpace => self.st.skipped += 1,
-                    other => {
-                        return Err(rpc_diverge(i, op, format!("return_disk failed: {other:?}")));
-                    }
-                }
-            }
-            NodeOp::BulkCreate(batch) => {
-                let resolved: Vec<(u128, Vec<u8>)> = batch
-                    .iter()
-                    .map(|(kr, spec)| {
-                        let key = kr.resolve(&self.st.puts_so_far);
-                        (key, spec.materialize(key, page_size))
-                    })
-                    .collect();
-                if resolved.iter().any(|(k, _)| self.st.removed[self.node().route(*k)]) {
-                    return Ok(());
-                }
-                match self.rpc_at(i, op, Request::BulkCreate { shards: resolved.clone() })? {
-                    Response::Ok => {
-                        for (key, value) in resolved {
-                            self.st.model.put(key, &value);
-                            self.st.puts_so_far.push(key);
-                        }
-                    }
-                    Response::Error(e) if e.code == ErrorCode::NoSpace => self.st.skipped += 1,
-                    other => {
-                        return Err(rpc_diverge(i, op, format!("bulk create failed: {other:?}")));
-                    }
-                }
-            }
-            NodeOp::BulkRemove(batch) => {
-                let resolved: Vec<u128> =
-                    batch.iter().map(|kr| kr.resolve(&self.st.puts_so_far)).collect();
-                if resolved.iter().any(|k| self.st.removed[self.node().route(*k)]) {
-                    return Ok(());
-                }
-                match self.rpc_at(i, op, Request::BulkRemove { shards: resolved.clone() })? {
-                    Response::Ok => {
-                        for key in resolved {
-                            self.st.model.delete(key);
-                        }
-                    }
-                    Response::Error(e) if e.code == ErrorCode::NoSpace => self.st.skipped += 1,
-                    other => {
-                        return Err(rpc_diverge(i, op, format!("bulk remove failed: {other:?}")));
-                    }
-                }
-            }
-            NodeOp::Migrate(kr, d) => {
-                let key = kr.resolve(&self.st.puts_so_far);
-                let to_disk = *d as usize % self.node().disk_count();
-                let from_disk = self.node().route(key);
-                let request = Request::Migrate { shard: key, to_disk: to_disk as u32 };
-                if self.st.removed[from_disk] || self.st.removed[to_disk] {
-                    match self.rpc_at(i, op, request)? {
-                        Response::Error(e) if e.code == ErrorCode::OutOfService => {}
-                        Response::Error(e) if e.code == ErrorCode::NoSpace => {
-                            self.st.skipped += 1;
-                        }
-                        Response::Error(e) => {
-                            return Err(rpc_diverge(i, op, format!("migrate failed: {e}")));
-                        }
-                        _ => {}
-                    }
-                    return Ok(());
-                }
-                match self.rpc_at(i, op, request)? {
-                    Response::Ok => {
-                        let expected = self.st.model.get(key);
-                        let got = match self.rpc_at(i, op, Request::Get { shard: key })? {
-                            Response::Data(v) => Some(v.to_vec()),
-                            Response::NotFound => None,
-                            other => {
-                                return Err(rpc_diverge(
-                                    i,
-                                    op,
-                                    format!("post-migrate get failed: {other:?}"),
-                                ));
-                            }
-                        };
-                        let ok = match (&expected, &got) {
-                            (None, None) => true,
-                            (Some(e), Some(g)) => ***e == **g,
-                            _ => false,
-                        };
-                        if !ok {
-                            return Err(rpc_diverge(
-                                i,
-                                op,
-                                format!("shard {key} changed across migration"),
-                            ));
-                        }
-                        if expected.is_some() && self.node().route(key) != to_disk {
-                            return Err(rpc_diverge(i, op, "placement not updated"));
-                        }
-                    }
-                    Response::Error(e) if e.code == ErrorCode::NoSpace => self.st.skipped += 1,
-                    other => {
-                        return Err(rpc_diverge(i, op, format!("migrate failed: {other:?}")));
-                    }
-                }
-            }
-        }
-        Ok(())
+        self.wire.engine.drain();
+        self.wire.engine.shutdown();
+        let node = self.wire.node();
+        node.check_catalog_consistent().map_err(|detail| {
+            with_node_timeline(node, Divergence::new(self.ops.len(), &format_args!("settle"), detail))
+        })
     }
 }
 
@@ -839,19 +516,9 @@ pub fn run_rpc_sim(
 ) -> Result<SimOutcome, Divergence> {
     let node = Node::new(num_disks, cfg.geometry, cfg.store.clone(), cfg.faults.clone());
     let engine = Engine::start_manual(node.clone(), EngineConfig::default());
-    let client = engine.client();
-    let st = NodeRunState::new(&node);
-    let mut world = RpcWorld { ops, cfg, engine, client, st, net: NetPlan::new(schedule) };
+    let wire = WireTransport { client: engine.client(), engine };
+    let checker = NodeChecker::new(&node, cfg);
+    let mut world = RpcWorld { ops, wire, checker, net: NetPlan::new(schedule) };
     let sim = Simulator::run(&mut world, ops.len(), schedule)?;
-    let fingerprint = opts.fingerprint.then(|| node_fingerprint(&node));
-    Ok(SimOutcome {
-        report: RunReport {
-            ops: ops.len(),
-            skipped_no_space: world.st.skipped,
-            has_failed: false,
-        },
-        sim,
-        fingerprint,
-        metrics: node_metrics(&node),
-    })
+    Ok(node_outcome(&node, &world.checker, ops.len(), sim, opts))
 }

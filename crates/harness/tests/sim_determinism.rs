@@ -13,7 +13,7 @@ use shardstore_harness::ops::{KvOp, NodeOp};
 use shardstore_harness::simulate::{
     run_conformance_sim, run_crash_sim, run_rpc_sim, SimOptions, SimOutcome,
 };
-use shardstore_sim::{CrashPoint, PerturbProfile, SimSchedule};
+use shardstore_sim::{CrashPoint, FaultPoint, PerturbProfile, SimFaultKind, SimSchedule};
 
 fn kv_sequence(seed: u64, cfg: GenConfig) -> Vec<KvOp> {
     sample_sequences(kv_ops(cfg), seed, 1).next().expect("one sequence")
@@ -101,12 +101,17 @@ fn rpc_world_perturbed_schedule_is_deterministic() {
         tick_every: 5,
         drops: vec![ops.len() / 3],
         delays: vec![(ops.len() / 2, 20)],
-        ..SimSchedule::clean()
+        faults: vec![FaultPoint { at_op: 1, extent: 3, kind: SimFaultKind::Permanent }],
+        crashes: vec![CrashPoint { at_op: ops.len() / 2, keep_mask: 0 }],
     };
     let a = run_rpc_sim(&ops, &cfg, 3, &schedule, &opts).expect("run passes");
     let b = run_rpc_sim(&ops, &cfg, 3, &schedule, &opts).expect("run passes");
     assert_eq!(a.sim, b.sim);
     assert_eq!(fingerprints_of(&a), fingerprints_of(&b));
+    // The request-plane world ignores fault and crash points, so the
+    // simulator must not report them as executed.
+    assert_eq!(a.sim.crashes, 0, "ignored crash point counted as run");
+    assert_eq!(a.sim.faults_armed, 0, "ignored fault point counted as armed");
 }
 
 #[test]

@@ -1,14 +1,19 @@
-//! Regressions found by the simulator swarm (ISSUE 8). Each test is a
-//! minimized `(ops, schedule)` repro pinned verbatim, so the bug it
-//! found stays found.
+//! Regressions found by the simulator swarm and the background-writeback
+//! matrix. Each test is a minimized `(ops, schedule)` repro pinned
+//! verbatim, so the bug it found stays found.
 
 use shardstore_core::Store;
 use shardstore_faults::{coverage, FaultConfig};
 use shardstore_harness::conformance::ConformanceConfig;
-use shardstore_harness::ops::{KeyRef, KvOp, ValueSpec};
+use shardstore_harness::ops::{KeyRef, KvOp, RebootType, ValueSpec};
+use shardstore_harness::run_crash_consistency;
 use shardstore_harness::simulate::{run_crash_sim, SimOptions};
 use shardstore_sim::{FaultPoint, SimFaultKind, SimSchedule};
 use shardstore_vdisk::{CrashPlan, ExtentId};
+
+/// Coverage counts are process-global: tests that assert on them
+/// serialize here so a parallel test's recording cannot reset them.
+static COVERAGE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Swarm seed 0x5f2b (crash world): a permanent extent fault armed
 /// before any operation, one batched put, one reboot. The flush during
@@ -51,6 +56,7 @@ fn recovery_drops_unreadable_table_and_keeps_the_node_alive() {
     // small entries keeps the data chunks on healthy extent 2 while the
     // flush's (larger) table chunk spills onto failing extent 4 — so
     // exactly the table is lost, and its metadata reference dangles.
+    let _serial = COVERAGE_LOCK.lock().unwrap();
     let _rec = coverage::Recording::start();
     let cfg = ConformanceConfig::default();
     let store = Store::format(cfg.geometry, cfg.store, FaultConfig::none());
@@ -95,5 +101,46 @@ fn recovery_drops_unreadable_table_and_keeps_the_node_alive() {
     assert_eq!(
         recovered.get(501).unwrap().as_deref(),
         Some(b"written after recovery".as_slice())
+    );
+}
+
+/// Root cause of the background-writeback false positive ("persistence
+/// violation at a DirtyReboot racing the pump"), minimized in
+/// deterministic mode. The second index flush's metadata record reaches
+/// the disk but the superblock pointer covering it does not, so the
+/// first recovery (correctly) ignores the record as residue and serves
+/// key 1's older value — while positioning the append pointer past the
+/// residue. The next superblock write persisted that pointer, so the
+/// recovery after the next crash trusted the residue: the dead record,
+/// holding the highest sequence number, won and rolled key 1 forward to
+/// the value the first recovery had discarded. Recovery now wipes
+/// metadata residue durably before extending the pointer over it.
+fn discarded_metadata_record_ops() -> Vec<KvOp> {
+    let crash = KvOp::DirtyReboot(RebootType { flush_index: false, issue_ios: 0, keep_mask: 0 });
+    vec![
+        KvOp::Put(KeyRef::Literal(1), ValueSpec::Small(2)),
+        KvOp::Reboot,
+        KvOp::Put(KeyRef::Literal(1), ValueSpec::Small(9)),
+        KvOp::IndexFlush,
+        KvOp::Pump(1),
+        KvOp::Pump(1),
+        KvOp::Pump(1),
+        crash.clone(),
+        KvOp::Put(KeyRef::Literal(2), ValueSpec::Small(1)),
+        KvOp::Pump(255),
+        KvOp::Pump(255),
+        crash,
+    ]
+}
+
+#[test]
+fn recovery_never_resurrects_a_discarded_metadata_record() {
+    let _serial = COVERAGE_LOCK.lock().unwrap();
+    let _rec = coverage::Recording::start();
+    run_crash_consistency(&discarded_metadata_record_ops(), &ConformanceConfig::default())
+        .unwrap_or_else(|d| panic!("a discarded metadata record came back: {d}"));
+    assert!(
+        coverage::count("chunk.recover.residue_wiped") > 0,
+        "recovery should have wiped the metadata residue past the pointer"
     );
 }

@@ -280,13 +280,12 @@ const WHOLE_TABLE: u32 = u32::MAX;
 /// LRU cache of decoded tables and blocks, keyed by `(table id, block)`.
 /// Safe against staleness by construction: ids are never reused and
 /// table content is immutable (relocation moves bytes verbatim), so a
-/// cached decode can never go stale. The fence indexes ride along
-/// (`None` marks a v1 table with no index): one small entry per live
-/// table, pruned with the tables.
+/// cached decode can never go stale. The fence indexes ride along: one
+/// small entry per live table, pruned with the tables.
 #[derive(Debug, Default)]
 struct DecodedCache {
     blocks: BTreeMap<(u64, u32), DecodedEntry>,
-    indexes: BTreeMap<u64, Option<Arc<codec::TableIndex>>>,
+    indexes: BTreeMap<u64, Arc<codec::TableIndex>>,
     tick: u64,
 }
 
@@ -681,15 +680,15 @@ impl LsmIndex {
         self.decoded_insert_at(id, WHOLE_TABLE, entries);
     }
 
-    /// Looks up a cached fence index (`Some(None)` = known v1 table).
-    fn index_lookup(&self, id: u64) -> Option<Option<Arc<codec::TableIndex>>> {
+    /// Looks up a cached fence index.
+    fn index_lookup(&self, id: u64) -> Option<Arc<codec::TableIndex>> {
         if self.core.config.decoded_cache_tables == 0 {
             return None;
         }
         self.core.decoded.lock().indexes.get(&id).cloned()
     }
 
-    fn index_insert(&self, id: u64, index: Option<Arc<codec::TableIndex>>) {
+    fn index_insert(&self, id: u64, index: Arc<codec::TableIndex>) {
         if self.core.config.decoded_cache_tables == 0 {
             return;
         }
@@ -733,38 +732,33 @@ impl LsmIndex {
         Ok(entries)
     }
 
-    /// Fetches (and caches) a table's fence index; `None` for v1 tables,
-    /// which have no index and fall back to full decodes. Reads only the
-    /// header and tail bytes of the table, not its blocks.
-    fn table_index(&self, table: &TableSnapshot) -> Result<Option<Arc<codec::TableIndex>>, LsmError> {
+    /// Fetches (and caches) a table's fence index. Reads only the header
+    /// and tail bytes of the table, not its blocks.
+    fn table_index(&self, table: &TableSnapshot) -> Result<Arc<codec::TableIndex>, LsmError> {
         if let Some(cached) = self.index_lookup(table.id) {
             return Ok(cached);
         }
         let total: usize = table.locators.iter().map(|l| l.len as usize).sum();
         let header = self.read_table_slice(&table.locators, 0, total.min(codec::V2_HEADER_LEN))?;
-        let index = if codec::sstable_version(&header)? == codec::FORMAT_VERSION_V1 {
-            None
-        } else {
-            let trailer = self.read_table_slice(
-                &table.locators,
-                total.saturating_sub(codec::V2_TRAILER_LEN),
-                codec::V2_TRAILER_LEN.min(total),
-            )?;
-            let footer_off = codec::footer_offset(&trailer, total).map_err(LsmError::Codec)? as usize;
-            let footer = self.read_table_slice(
-                &table.locators,
-                footer_off,
-                total - codec::V2_TRAILER_LEN - footer_off,
-            )?;
-            Some(Arc::new(
-                codec::decode_index(&header, &footer, &trailer, total).map_err(LsmError::Codec)?,
-            ))
-        };
-        self.index_insert(table.id, index.clone());
+        let trailer = self.read_table_slice(
+            &table.locators,
+            total.saturating_sub(codec::V2_TRAILER_LEN),
+            codec::V2_TRAILER_LEN.min(total),
+        )?;
+        let footer_off = codec::footer_offset(&trailer, total).map_err(LsmError::Codec)? as usize;
+        let footer = self.read_table_slice(
+            &table.locators,
+            footer_off,
+            total - codec::V2_TRAILER_LEN - footer_off,
+        )?;
+        let index = Arc::new(
+            codec::decode_index(&header, &footer, &trailer, total).map_err(LsmError::Codec)?,
+        );
+        self.index_insert(table.id, Arc::clone(&index));
         Ok(index)
     }
 
-    /// Reads one block of a v2 table through the decoded cache, decoding
+    /// Reads one block of a table through the decoded cache, decoding
     /// only that block's bytes on a miss.
     fn block_entries(
         &self,
@@ -851,8 +845,8 @@ impl LsmIndex {
     }
 
     /// Reads and reassembles a whole table from its chunks, decoding
-    /// every entry (recovery, merges, and v1 tables; point gets on v2
-    /// tables use [`LsmIndex::block_entries`] instead).
+    /// every entry (recovery and merges; point gets and scans use
+    /// [`LsmIndex::block_entries`] instead).
     fn read_table(&self, locators: &[Locator]) -> Result<Vec<codec::SsEntry>, LsmError> {
         let mut bytes = Vec::new();
         for locator in locators {
@@ -1075,11 +1069,12 @@ impl LsmIndex {
                 // answers without consulting the fence index.
                 coverage::hit("lsm.decoded.hit");
                 Some(entries)
-            } else if let Some(index) = self.table_index(table)? {
+            } else {
+                let index = self.table_index(table)?;
                 // HOT-PATH-BEGIN(lsm-block-decode): the certified point
-                // lookup on a block-indexed table routes through the
-                // fence index to the one block that can hold the key and
-                // decodes only it — never the whole table.
+                // lookup routes through the fence index to the one block
+                // that can hold the key and decodes only it — never the
+                // whole table.
                 match index.locate(key) {
                     None => {
                         coverage::hit("lsm.get.block_fence_skip");
@@ -1089,9 +1084,6 @@ impl LsmIndex {
                     Some(b) => Some(self.block_entries(table, b, &index.fences[b])?),
                 }
                 // HOT-PATH-END(lsm-block-decode)
-            } else {
-                // v1 table: no index, decode it whole.
-                Some(self.table_entries(table)?)
             };
             let Some(entries) = entries else { continue };
             match entries.binary_search_by_key(&key, |(k, _)| *k) {
@@ -1243,9 +1235,8 @@ impl LsmIndex {
     }
 
     /// Merges one table's entries within `[start, end]` into `merged`.
-    /// On a block-indexed table the fence index seeks straight to the
-    /// overlapping blocks (a warm whole-table decode is used when
-    /// available); v1 tables decode whole.
+    /// The fence index seeks straight to the overlapping blocks (a warm
+    /// whole-table decode is used when available).
     fn scan_table_range(
         &self,
         table: &TableSnapshot,
@@ -1261,21 +1252,14 @@ impl LsmIndex {
             }
             return Ok(());
         }
-        if let Some(index) = self.table_index(table)? {
-            for b in index.overlapping(start, end) {
-                coverage::hit("lsm.scan.block_seek");
-                let entries = self.block_entries(table, b, &index.fences[b])?;
-                let from = entries.partition_point(|(k, _)| *k < start);
-                for (k, v) in entries[from..].iter().take_while(|(k, _)| *k <= end) {
-                    merged.insert(*k, v.clone());
-                }
+        let index = self.table_index(table)?;
+        for b in index.overlapping(start, end) {
+            coverage::hit("lsm.scan.block_seek");
+            let entries = self.block_entries(table, b, &index.fences[b])?;
+            let from = entries.partition_point(|(k, _)| *k < start);
+            for (k, v) in entries[from..].iter().take_while(|(k, _)| *k <= end) {
+                merged.insert(*k, v.clone());
             }
-            return Ok(());
-        }
-        let entries = self.table_entries(table)?;
-        let from = entries.partition_point(|(k, _)| *k < start);
-        for (k, v) in entries[from..].iter().take_while(|(k, _)| *k <= end) {
-            merged.insert(*k, v.clone());
         }
         Ok(())
     }

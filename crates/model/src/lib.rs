@@ -336,6 +336,32 @@ impl CrashAwareKvModel {
             .collect()
     }
 
+    /// The crash-free range scan: every `(shard, latest value)` with
+    /// `start <= shard <= end`, ascending (the [`KvModel::scan`]
+    /// semantics over the latest mutations).
+    pub fn scan(&self, start: u128, end: u128) -> Vec<(u128, Arc<Vec<u8>>)> {
+        if start > end {
+            return Vec::new();
+        }
+        self.history
+            .range(start..=end)
+            .filter_map(|(k, h)| h.last().and_then(|m| m.value.clone()).map(|v| (*k, v)))
+            .collect()
+    }
+
+    /// Adopts an observed value as the key's durable state, discarding
+    /// its history (`None` = observed absent).
+    pub fn resync(&mut self, shard: u128, observed: Option<Arc<Vec<u8>>>) {
+        match observed {
+            Some(v) => {
+                self.history.insert(shard, vec![Mutation { value: Some(v), dep: None }]);
+            }
+            None => {
+                self.history.remove(&shard);
+            }
+        }
+    }
+
     /// The §5 persistence check for one key, evaluated with dependency
     /// persistence *as of now* (call at the crash point, before recovery).
     pub fn expectation(&self, shard: u128) -> CrashExpectation {
@@ -399,16 +425,7 @@ impl CrashAwareKvModel {
         for key in keys {
             if let Some(obs) = observed.get(&key) {
                 // Observed state is durable after recovery.
-                match obs {
-                    Some(v) => {
-                        let history = self.history.get_mut(&key).expect("key listed");
-                        history.clear();
-                        history.push(Mutation { value: Some(Arc::clone(v)), dep: None });
-                    }
-                    None => {
-                        self.history.remove(&key);
-                    }
-                }
+                self.resync(key, obs.clone());
                 continue;
             }
             let history = self.history.get_mut(&key).expect("key listed");

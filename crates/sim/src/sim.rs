@@ -74,17 +74,18 @@ pub trait World {
         Ok(())
     }
 
-    /// Arms a disk fault.
-    fn arm_fault(&mut self, f: &FaultPoint) -> Result<(), Self::Error> {
+    /// Arms a disk fault. Returns whether the world applied it. Default:
+    /// ignored (worlds whose oracles are not failure-relaxed).
+    fn arm_fault(&mut self, f: &FaultPoint) -> Result<bool, Self::Error> {
         let _ = f;
-        Ok(())
+        Ok(false)
     }
 
-    /// Crash-restarts the whole node. Default: no-op (worlds without
-    /// crash-aware checking ignore crash points).
-    fn crash_restart(&mut self, c: &CrashPoint) -> Result<(), Self::Error> {
+    /// Crash-restarts the whole node. Returns whether the world applied
+    /// it. Default: ignored (worlds without crash-aware checking).
+    fn crash_restart(&mut self, c: &CrashPoint) -> Result<bool, Self::Error> {
         let _ = c;
-        Ok(())
+        Ok(false)
     }
 
     /// Delivers in-flight message `m`. Default: no-op.
@@ -165,17 +166,19 @@ impl Simulator {
                 }
                 SimEvent::ArmFault(fi) => {
                     let f = schedule.faults[fi];
-                    match f.kind {
-                        SimFaultKind::Transient(_) => coverage::hit("sim.fault.transient"),
-                        SimFaultKind::Permanent => coverage::hit("sim.fault.permanent"),
+                    if world.arm_fault(&f)? {
+                        match f.kind {
+                            SimFaultKind::Transient(_) => coverage::hit("sim.fault.transient"),
+                            SimFaultKind::Permanent => coverage::hit("sim.fault.permanent"),
+                        }
+                        report.faults_armed += 1;
                     }
-                    world.arm_fault(&f)?;
-                    report.faults_armed += 1;
                 }
                 SimEvent::CrashRestart(ci) => {
-                    coverage::hit("sim.perturb.crash_restart");
-                    world.crash_restart(&schedule.crashes[ci])?;
-                    report.crashes += 1;
+                    if world.crash_restart(&schedule.crashes[ci])? {
+                        coverage::hit("sim.perturb.crash_restart");
+                        report.crashes += 1;
+                    }
                 }
                 SimEvent::Deliver(m) => {
                     world.deliver(&mut ctx, m)?;

@@ -41,14 +41,14 @@ impl World for TraceWorld {
         Ok(())
     }
 
-    fn arm_fault(&mut self, f: &FaultPoint) -> Result<(), Self::Error> {
+    fn arm_fault(&mut self, f: &FaultPoint) -> Result<bool, Self::Error> {
         self.log.push(format!("fault(op={},ext={})", f.at_op, f.extent));
-        Ok(())
+        Ok(true)
     }
 
-    fn crash_restart(&mut self, c: &CrashPoint) -> Result<(), Self::Error> {
+    fn crash_restart(&mut self, c: &CrashPoint) -> Result<bool, Self::Error> {
         self.log.push(format!("crash(op={})", c.at_op));
-        Ok(())
+        Ok(true)
     }
 
     fn deliver(&mut self, ctx: &mut SimCtx<'_>, m: usize) -> Result<(), Self::Error> {
